@@ -371,9 +371,8 @@ std::vector<CqaResult> AnswerQueryBatch(
       size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= requests.size()) break;
       if (workers > 1 && requests[i].options.threads > 1) {
-        // The thread budget is spent on batch workers; a per-request
-        // solver portfolio on top would oversubscribe (and make the
-        // batch outcome depend on worker scheduling).
+        // The thread budget is spent on batch workers; per-request
+        // answer parallelism on top would oversubscribe.
         CqaRequest clamped = requests[i];
         clamped.options.threads = 1;
         out[i] = AnswerQueryOnView(&view, engine->program(), clamped);

@@ -30,7 +30,6 @@ void SlicedJudge::LoadCappedSlice(const ConeSlicer::Slice& slice,
   SolverOptions* opts = solver->mutable_options();
   opts->learning = min_ones_.enable_learning;
   opts->restarts = min_ones_.enable_restarts;
-  opts->inprocessing = false;  // throwaway solver, one Solve call
   double remaining = ctx->RemainingSeconds();
   opts->time_limit_seconds =
       std::isinf(remaining) ? 0 : std::max(remaining, 1e-9);

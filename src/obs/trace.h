@@ -20,10 +20,10 @@
 // TraceIdScope; spans inherit it, and Collect(trace_id) filters on it —
 // this is how one server request's spans are picked out of the shared
 // rings. Cross-thread propagation is by value: capture CurrentTraceId()
-// before spawning workers and re-install it in each (the portfolio race
-// and the CQA/batch worker pools do this). Sampling composes with the
-// id: TraceIdScope suppresses recording when its id fails
-// SampleTraceId(), so a server can trace 1-in-N requests.
+// before spawning workers and re-install it in each (the CQA/batch
+// worker pools do this). Sampling composes with the id: TraceIdScope
+// suppresses recording when its id fails SampleTraceId(), so a server
+// can trace 1-in-N requests.
 //
 // Compile-out: building with -DDR_NO_TRACING turns Span into an empty
 // shell (and the DR_* macros into nothing) for deployments that want

@@ -103,10 +103,12 @@ RepairResult IndependentSemantics::Run(InstanceView* view, const Program& progra
   DR_CHECK_MSG(solved.satisfiable, "negated provenance must be satisfiable");
   result.stats.optimal = solved.optimal;
   result.stats.AddSolver(solved.solver);
-  // Latch kBudgetExhausted/kCancelled when the solver was cut short and
-  // the run-level budget or token (not just the solver's own work caps)
-  // is to blame.
-  if (!solved.optimal) ctx->ShouldStop();
+  // An unproven minimum is never reported as complete. The run-level
+  // budget or token is latched first when it is to blame; otherwise
+  // Min-Ones' own work/time caps or its blocking-descent cap stopped the
+  // search, which reports as budget exhaustion too (as CQA does for a
+  // truncated repair space).
+  if (!solved.optimal && !ctx->ShouldStop()) ctx->MarkTruncated();
 
   // Line 6: output the tuples whose deletion variable is true.
   for (uint32_t v = 0; v < builder.num_vars(); ++v) {

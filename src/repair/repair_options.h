@@ -199,6 +199,14 @@ class ExecContext {
     return ShouldStop();
   }
 
+  /// Latches kBudgetExhausted for a run that an internal cap (not the
+  /// request's own budget) left unfinished. No-op once a reason stuck.
+  void MarkTruncated() {
+    if (reason_ == TerminationReason::kComplete) {
+      reason_ = TerminationReason::kBudgetExhausted;
+    }
+  }
+
   /// True once a stop reason has been latched.
   bool stopped() const { return reason_ != TerminationReason::kComplete; }
   TerminationReason reason() const { return reason_; }

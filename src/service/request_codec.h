@@ -6,7 +6,7 @@
 //
 // Process-local fields do not travel: RepairOptions.cancel and
 // record_provenance arrive null (the server wires its own cancellation
-// in), and the nested SAT InprocessConfig keeps its defaults.
+// in).
 #ifndef DELTAREPAIR_SERVICE_REQUEST_CODEC_H_
 #define DELTAREPAIR_SERVICE_REQUEST_CODEC_H_
 

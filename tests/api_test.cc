@@ -202,6 +202,34 @@ TEST(BudgetTest, GenerousBudgetCompletesNormally) {
   EXPECT_EQ(outcome.result.deleted, IdSet({f.a1, f.b1}));
 }
 
+TEST(BudgetTest, UnprovenIndependentMinimumIsNotReportedComplete) {
+  // At the default MAS size, program 8's Min-Ones search leaves some
+  // incumbents unproven without touching the request's budget. Such a
+  // run must say budget_exhausted, never complete, and its deletion set
+  // must still be stabilizing.
+  int unproven = 0;
+  for (uint64_t seed : {1, 2, 3}) {
+    MasConfig config;
+    config.seed = seed;
+    MasData mas = GenerateMas(config);
+    auto engine = RepairEngine::Create(&mas.db, MasProgram(8, mas.hubs));
+    ASSERT_TRUE(engine.ok()) << seed;
+    RepairRequest request("independent");
+    request.options.verify_after_run = true;
+    RepairOutcome outcome = engine->Execute(request);
+    ASSERT_TRUE(outcome.ok()) << seed;
+    EXPECT_EQ(outcome.termination,
+              outcome.result.stats.optimal
+                  ? TerminationReason::kComplete
+                  : TerminationReason::kBudgetExhausted)
+        << seed;
+    ASSERT_TRUE(outcome.verified.has_value()) << seed;
+    EXPECT_TRUE(*outcome.verified) << seed;
+    unproven += outcome.result.stats.optimal ? 0 : 1;
+  }
+  EXPECT_GT(unproven, 0) << "no seed exercises the unproven path";
+}
+
 TEST(CancelTest, PreCancelledTokenStopsInsideTheFixpoint) {
   MasFixture f;
   CancelToken token;

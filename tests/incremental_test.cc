@@ -222,6 +222,35 @@ TEST(IncrementalEngineTest, EmptyDeltaKeepsEveryCache) {
   EXPECT_EQ(f.warm->warm_version(), f.ex.db.version());
 }
 
+TEST(IncrementalEngineTest, ReusedResultsReportTheirOwnTiming) {
+  // A repeated end or stage repair on an unchanged state is served from
+  // the cache. It ran no phase, so its phases are zero and sum to at
+  // most its own total; its effort counters still equal the run that
+  // computed it.
+  WarmFixture f;
+  for (const char* semantics : {"end", "stage"}) {
+    SCOPED_TRACE(semantics);
+    RepairOutcome first = f.warm->ExecuteRepair(MakeRepairRequest(semantics));
+    ASSERT_TRUE(first.ok());
+    const uint64_t reused_before = f.warm->stats().reused_repair_results;
+    RepairOutcome again = f.warm->ExecuteRepair(MakeRepairRequest(semantics));
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(f.warm->stats().reused_repair_results, reused_before + 1);
+    const RepairStats& st = again.result.stats;
+    EXPECT_EQ(st.eval_seconds, 0);
+    EXPECT_EQ(st.process_prov_seconds, 0);
+    EXPECT_EQ(st.solve_seconds, 0);
+    EXPECT_EQ(st.traverse_seconds, 0);
+    EXPECT_LE(st.eval_seconds + st.process_prov_seconds + st.solve_seconds +
+                  st.traverse_seconds,
+              st.total_seconds);
+    EXPECT_EQ(st.assignments, first.result.stats.assignments);
+    EXPECT_EQ(st.iterations, first.result.stats.iterations);
+    EXPECT_EQ(st.graph_nodes, first.result.stats.graph_nodes);
+    EXPECT_TRUE(again.result.SameSet(first.result));
+  }
+}
+
 TEST(IncrementalEngineTest, DeleteThenReinsertAcrossDeltaBoundary) {
   WarmFixture f;
   // Baseline repairs (all four semantics) before any update.

@@ -507,7 +507,8 @@ TEST(FramingTest, RejectsCorruptFrames) {
 // Request codec.
 // ---------------------------------------------------------------------------
 
-TEST(RequestCodecTest, RepairRequestRoundTrip) {
+/// A repair request with every travelling option off its default.
+RepairRequest NonDefaultRepairRequest() {
   RepairRequest request("step");
   request.apply = true;
   request.options.budget_seconds = 1.5;
@@ -521,12 +522,11 @@ TEST(RequestCodecTest, RepairRequestRoundTrip) {
   request.options.independent.min_ones.enable_learning = false;
   request.options.independent.min_ones.enable_restarts = false;
   request.options.independent.min_ones.max_totalizer_area = 77;
-  request.options.independent.min_ones.enable_inprocessing = false;
-  request.options.independent.min_ones.portfolio_threads = 2;
+  request.trace_id = 0xfeed;
+  return request;
+}
 
-  RepairRequest decoded;
-  ASSERT_TRUE(
-      DecodeRepairRequest(EncodeRepairRequest(request), &decoded).ok());
+void ExpectNonDefaultOptions(const RepairRequest& decoded) {
   EXPECT_EQ(decoded.semantics, "step");
   EXPECT_TRUE(decoded.apply);
   EXPECT_EQ(decoded.options.budget_seconds, 1.5);
@@ -541,11 +541,75 @@ TEST(RequestCodecTest, RepairRequestRoundTrip) {
   EXPECT_FALSE(mo.enable_learning);
   EXPECT_FALSE(mo.enable_restarts);
   EXPECT_EQ(mo.max_totalizer_area, 77u);
-  EXPECT_FALSE(mo.enable_inprocessing);
-  EXPECT_EQ(mo.portfolio_threads, 2);
   // Process-local fields never travel.
   EXPECT_EQ(decoded.options.cancel, nullptr);
   EXPECT_EQ(decoded.options.record_provenance, nullptr);
+}
+
+/// Hand-builds a version-1 or -2 repair frame for
+/// NonDefaultRepairRequest(): the options block still ends with the
+/// retired inprocessing flag byte and portfolio thread count, and only
+/// version 2 carries the trace id.
+std::string OldRepairFrame(uint8_t version, uint8_t inprocess_flag,
+                           uint32_t portfolio_threads) {
+  BinaryWriter w;
+  w.PutU8(version);
+  w.PutString("step");
+  w.PutU8(1);            // apply
+  w.PutDouble(1.5);      // budget_seconds
+  w.PutU64(42);          // seed
+  w.PutU8(1);            // verify_after_run
+  w.PutU32(3);           // threads
+  w.PutU8(static_cast<uint8_t>(StepOrdering::kArbitrary));
+  w.PutU64(123);         // min_ones.max_assignments
+  w.PutDouble(0.25);     // min_ones.time_limit_seconds
+  w.PutU8(0);            // decompose_components
+  w.PutU8(0);            // enable_learning
+  w.PutU8(0);            // enable_restarts
+  w.PutU64(77);          // max_totalizer_area
+  w.PutU8(inprocess_flag);
+  w.PutU32(portfolio_threads);
+  if (version >= 2) w.PutU64(0xfeed);  // trace id
+  return w.Take();
+}
+
+TEST(RequestCodecTest, RepairRequestRoundTrip) {
+  std::string bytes = EncodeRepairRequest(NonDefaultRepairRequest());
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(static_cast<uint8_t>(bytes[0]), 3u);  // current codec version
+  RepairRequest decoded;
+  ASSERT_TRUE(DecodeRepairRequest(bytes, &decoded).ok());
+  ExpectNonDefaultOptions(decoded);
+  EXPECT_EQ(decoded.trace_id, 0xfeedu);
+}
+
+TEST(RequestCodecTest, OldFramesWithRetiredFieldsStillDecode) {
+  RepairRequest v2;
+  Status st = DecodeRepairRequest(OldRepairFrame(2, 0, 2), &v2);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ExpectNonDefaultOptions(v2);
+  EXPECT_EQ(v2.trace_id, 0xfeedu);
+  // The retired fields are dropped: re-encoding yields the v3 frame of
+  // the same request.
+  EXPECT_EQ(EncodeRepairRequest(v2),
+            EncodeRepairRequest(NonDefaultRepairRequest()));
+
+  RepairRequest v1;
+  st = DecodeRepairRequest(OldRepairFrame(1, 1, 1), &v1);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ExpectNonDefaultOptions(v1);
+  EXPECT_EQ(v1.trace_id, 0u);
+}
+
+TEST(RequestCodecTest, OldFramesWithBadRetiredFieldsAreRejected) {
+  RepairRequest out;
+  EXPECT_FALSE(DecodeRepairRequest(OldRepairFrame(2, 2, 1), &out).ok());
+  EXPECT_FALSE(DecodeRepairRequest(OldRepairFrame(2, 0, 0), &out).ok());
+  EXPECT_FALSE(DecodeRepairRequest(OldRepairFrame(2, 0, 100000), &out).ok());
+  // A v3 frame must not carry them: the five extra bytes are trailing.
+  std::string v2 = OldRepairFrame(2, 0, 1);
+  v2[0] = 3;
+  EXPECT_FALSE(DecodeRepairRequest(v2, &out).ok());
 }
 
 TEST(RequestCodecTest, CqaRequestRoundTrip) {

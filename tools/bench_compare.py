@@ -21,10 +21,12 @@ Two metric families are gated, each with its own tolerance band:
     skipped.
 
 A row regresses when current > baseline * (1 + band). Improvements
-beyond the band are reported (they usually mean the baseline wants a
-refresh) but never fail the run. Rows present in the matched baseline
-document but missing from the run fail it — losing coverage must be
-deliberate, i.e. accompanied by a baseline refresh.
+beyond the band are reported, and for the counters that reproduce
+exactly from run to run (EXACT_COUNTERS) they fail the run with a
+"refresh the baseline" message: a stale baseline would let a later
+regression back to the old value pass unnoticed. Rows present in the
+matched baseline document but missing from the run fail it — losing
+coverage must be deliberate, i.e. accompanied by a baseline refresh.
 
 Exit status: 0 clean, 1 regressions (or coverage loss / too few
 comparisons), 2 usage or malformed input.
@@ -54,6 +56,21 @@ COUNTER_METRICS = (
     # Modeled tracing-overhead bound (bench_micro_engine): 1000 = zero
     # overhead; gated at a 2% band in CI via --override.
     "overhead_permille",
+)
+
+
+# Counters measured identical across three runs of every gated bench at
+# DR_SCALE 1 and 0.1. overhead_permille is a timing ratio and varies in
+# its fourth digit; engine_assignments appears in no bench document.
+EXACT_COUNTERS = (
+    "conflicts",
+    "propagations",
+    "work",
+    "sat_solve_calls",
+    "cone_vars",
+    "cone_clauses",
+    "sliced_solve_calls",
+    "slice_fallbacks",
 )
 
 
@@ -162,6 +179,7 @@ def main():
     compared = 0
     regressions = []
     improvements = []
+    stale = []
     skipped_docs = []
     for path in args.runs:
         try:
@@ -213,7 +231,10 @@ def main():
                     if cur > ref * (1 + band):
                         regressions.append(line)
                     elif cur < ref * (1 - band):
-                        improvements.append(line)
+                        if metric in EXACT_COUNTERS:
+                            stale.append(line)
+                        else:
+                            improvements.append(line)
 
     for path, bench, scale in skipped_docs:
         level = "error" if args.require_doc else "warning"
@@ -230,11 +251,18 @@ def main():
         )
     for line in improvements:
         print(f"improved: {line}")
+    for line in stale:
+        print(
+            f"STALE BASELINE: {line} — an exact counter improved beyond its "
+            f"band; refresh the baseline (re-record this document in "
+            f"{args.baseline})"
+        )
     for line in regressions:
         print(f"REGRESSION: {line}")
     print(
         f"bench_compare: {compared} comparisons, "
-        f"{len(regressions)} regressions, {len(improvements)} improvements"
+        f"{len(regressions)} regressions, {len(improvements)} improvements, "
+        f"{len(stale)} stale"
     )
     if args.require_doc and skipped_docs:
         return 1
@@ -245,7 +273,7 @@ def main():
             file=sys.stderr,
         )
         return 1
-    return 1 if regressions else 0
+    return 1 if regressions or stale else 0
 
 
 if __name__ == "__main__":
