@@ -173,76 +173,78 @@ void EvaluateAnswers(const CqaRequest& request,
   }
 }
 
-/// The sequential core: evaluates one request on `view` (restoring its
-/// state before returning).
-CqaResult AnswerQueryOnView(InstanceView* view, const Program& program,
-                            const CqaRequest& request) {
-  Span span("cqa.answer_query");
+/// One request on `view`, shared by the cold and warm entry points:
+/// semantics lookup, query parse/resolve, grounding, the repair space,
+/// per-answer verdicts and the termination tail. `space` is the warm
+/// engine's prepared space, or nullptr to build the semantics' own space
+/// from `program` through CqaRegistry (the view is then restored before
+/// returning; the warm path only reads it).
+CqaResult RunRequest(InstanceView* view, const Program* program,
+                     const CqaRequest& request, RepairSpace* space,
+                     const CqaAnswerHooks* hooks) {
+  Span span(space == nullptr ? "cqa.answer_query" : "cqa.answer_query_warm");
   WallTimer total;
   CqaResult result;
+  auto fail = [&result](Status status) {
+    result.status = std::move(status);
+    result.termination = TerminationReason::kInvalidProgram;
+    return result;
+  };
 
   StatusOr<const Semantics*> semantics =
       SemanticsRegistry::Global().Get(request.semantics);
-  if (!semantics.ok()) {
-    result.status = semantics.status();
-    result.termination = TerminationReason::kInvalidProgram;
-    return result;
-  }
+  if (!semantics.ok()) return fail(semantics.status());
   result.semantics = semantics.value()->name();
   result.kind = semantics.value()->kind();
-  StatusOr<const RepairSpaceBuilder*> builder =
-      CqaRegistry::Global().Get(request.semantics);
-  if (!builder.ok()) {
-    result.status = builder.status();
-    result.termination = TerminationReason::kInvalidProgram;
-    return result;
+  const RepairSpaceBuilder* builder = nullptr;
+  if (space == nullptr) {
+    StatusOr<const RepairSpaceBuilder*> found =
+        CqaRegistry::Global().Get(request.semantics);
+    if (!found.ok()) return fail(found.status());
+    builder = found.value();
   }
   StatusOr<Query> query = ParseQuery(request.query);
-  if (!query.ok()) {
-    result.status = query.status();
-    result.termination = TerminationReason::kInvalidProgram;
-    return result;
-  }
+  if (!query.ok()) return fail(query.status());
   Status resolved = ResolveQuery(&query.value(), view->db());
-  if (!resolved.ok()) {
-    result.status = resolved;
-    result.termination = TerminationReason::kInvalidProgram;
-    return result;
-  }
+  if (!resolved.ok()) return fail(resolved);
   result.query_head = query.value().head_name;
 
   ExecContext ctx(request.options);
-  InstanceView::State snapshot = view->SaveState();
+  InstanceView::State snapshot;
+  if (builder != nullptr) snapshot = view->SaveState();
 
   // Phase 1: ground the query over the live instance. Monotonicity
   // makes Q(D) a superset of every repair's answer set, and each
-  // answer's monomials are its survival DNF.
+  // answer's monomials are its survival DNF. Grounding runs fresh on the
+  // warm path too — it is cheap next to space construction, which is
+  // exactly what the warm path amortizes.
   std::map<Tuple, AnswerProvenance> grounded;
   {
-    Span span("cqa.ground_query");
+    Span ground_span("cqa.ground_query");
     ScopedTimer t(&result.stats.ground_seconds);
     grounded = GroundQuery(view, query.value(), &ctx);
   }
 
   // Phase 2: the semantics' repair space (builders may scratch-mutate
   // the view; restore to the grounding state afterwards).
-  std::unique_ptr<RepairSpace> space;
-  {
-    Span span("cqa.build_space");
+  std::unique_ptr<RepairSpace> built;
+  if (builder != nullptr) {
+    Span space_span("cqa.build_space");
     ScopedTimer t(&result.stats.space_seconds);
-    space = (*builder.value())(view, program, request.options, &ctx);
+    built = (*builder)(view, *program, request.options, &ctx);
     view->RestoreState(snapshot);
+    space = built.get();
   }
   result.stats.space_repairs = space->NumEnumerated();
   result.stats.repair_size = space->repair_size();
   result.stats.space_exact = space->exact();
 
   // Phase 3: per-answer verdicts, in deterministic (sorted) order.
-  EvaluateAnswers(request, grounded, space.get(), nullptr, &ctx, &result);
+  EvaluateAnswers(request, grounded, space, hooks, &ctx, &result);
   space->AddStats(&result.stats.repair);
   space->AddSliceStats(&result.stats.slice);
 
-  view->RestoreState(snapshot);
+  if (builder != nullptr) view->RestoreState(snapshot);
   result.stats.answers = result.answers.size();
   result.termination = ctx.reason();
   if (result.termination == TerminationReason::kComplete &&
@@ -257,64 +259,17 @@ CqaResult AnswerQueryOnView(InstanceView* view, const Program& program,
   return result;
 }
 
+CqaResult AnswerQueryOnView(InstanceView* view, const Program& program,
+                            const CqaRequest& request) {
+  return RunRequest(view, &program, request, nullptr, nullptr);
+}
+
 }  // namespace
 
 CqaResult AnswerQueryWithSpace(InstanceView* view, const CqaRequest& request,
                                RepairSpace* space,
                                const CqaAnswerHooks* hooks) {
-  Span span("cqa.answer_query_warm");
-  WallTimer total;
-  CqaResult result;
-
-  StatusOr<const Semantics*> semantics =
-      SemanticsRegistry::Global().Get(request.semantics);
-  if (!semantics.ok()) {
-    result.status = semantics.status();
-    result.termination = TerminationReason::kInvalidProgram;
-    return result;
-  }
-  result.semantics = semantics.value()->name();
-  result.kind = semantics.value()->kind();
-  StatusOr<Query> query = ParseQuery(request.query);
-  if (!query.ok()) {
-    result.status = query.status();
-    result.termination = TerminationReason::kInvalidProgram;
-    return result;
-  }
-  Status resolved = ResolveQuery(&query.value(), view->db());
-  if (!resolved.ok()) {
-    result.status = resolved;
-    result.termination = TerminationReason::kInvalidProgram;
-    return result;
-  }
-  result.query_head = query.value().head_name;
-
-  ExecContext ctx(request.options);
-
-  // Grounding still runs fresh — it is cheap next to space
-  // construction, which is exactly what the warm path amortizes.
-  std::map<Tuple, AnswerProvenance> grounded;
-  {
-    Span ground_span("cqa.ground_query");
-    ScopedTimer t(&result.stats.ground_seconds);
-    grounded = GroundQuery(view, query.value(), &ctx);
-  }
-  result.stats.space_repairs = space->NumEnumerated();
-  result.stats.repair_size = space->repair_size();
-  result.stats.space_exact = space->exact();
-
-  EvaluateAnswers(request, grounded, space, hooks, &ctx, &result);
-  space->AddStats(&result.stats.repair);
-  space->AddSliceStats(&result.stats.slice);
-
-  result.stats.answers = result.answers.size();
-  result.termination = ctx.reason();
-  if (result.termination == TerminationReason::kComplete &&
-      !result.stats.space_exact) {
-    result.termination = TerminationReason::kBudgetExhausted;
-  }
-  result.stats.total_seconds = total.ElapsedSeconds();
-  return result;
+  return RunRequest(view, nullptr, request, space, hooks);
 }
 
 std::vector<Tuple> CqaResult::CertainAnswers() const {

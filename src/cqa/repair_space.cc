@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <set>
 #include <unordered_map>
 
@@ -111,12 +110,13 @@ std::optional<CqaCounterexample> EnumeratedRepairSpace::Counterexample(
 SymbolicRepairSpace::SymbolicRepairSpace(InstanceView* view,
                                          const Program& program,
                                          const RepairOptions& options,
-                                         ExecContext* ctx) {
-  min_ones_options_ = options.independent.min_ones;
-  slice_options_ = options.cqa_slice;
-
+                                         ExecContext* ctx)
+    : min_ones_options_(options.independent.min_ones),
+      slice_enable_(options.cqa_slice.enable),
+      slice_(&owned_) {
+  DeletionCnfBuilder& builder = owned_.dense;
   // Phase 1 (Eval): hypothetical grounding, exactly Algorithm 1's CNF —
-  // the models of builder_.cnf() are the stabilizing sets.
+  // the models of builder.cnf() are the stabilizing sets.
   {
     ScopedTimer t(&stats_.eval_seconds);
     Grounder grounder(view);
@@ -125,7 +125,7 @@ SymbolicRepairSpace::SymbolicRepairSpace(InstanceView* view,
                              BaseMatch::kLive, DeltaMatch::kHypothetical,
                              [&](const GroundAssignment& ga) {
                                if (ctx->Tick()) return false;
-                               builder_.AddAssignment(ga);
+                               builder.AddAssignment(ga);
                                return true;
                              });
     }
@@ -137,13 +137,13 @@ SymbolicRepairSpace::SymbolicRepairSpace(InstanceView* view,
   }
   {
     ScopedTimer t(&stats_.process_prov_seconds);
-    builder_.Normalize();
+    builder.Normalize();
   }
-  stats_.cnf_vars = builder_.num_vars();
-  stats_.cnf_clauses = builder_.cnf().num_clauses();
-  stats_.cnf_dup_clauses = builder_.normalize_stats().duplicate_clauses;
+  stats_.cnf_vars = builder.num_vars();
+  stats_.cnf_clauses = builder.cnf().num_clauses();
+  stats_.cnf_dup_clauses = builder.normalize_stats().duplicate_clauses;
   stats_.cnf_subsumed_clauses =
-      builder_.normalize_stats().unit_subsumed_clauses;
+      builder.normalize_stats().unit_subsumed_clauses;
 
   // Phase 2 (Solve): Min-Ones pins the space's cardinality k. Without a
   // proven optimum the space cannot be characterized — stay inexact.
@@ -156,7 +156,7 @@ SymbolicRepairSpace::SymbolicRepairSpace(InstanceView* view,
     if (ctx->cancel_token() != nullptr) {
       solver_options.cancel = ctx->cancel_token()->flag();
     }
-    solved = MinOnesSat(builder_.cnf(), solver_options);
+    solved = MinOnesSat(builder.cnf(), solver_options);
   }
   stats_.AddSolver(solved.solver);
   if (!solved.satisfiable || !solved.optimal || ctx->ShouldStop()) {
@@ -171,29 +171,58 @@ SymbolicRepairSpace::SymbolicRepairSpace(InstanceView* view,
   // proven optimum. Per-answer entailment then runs on memoized cone
   // slices; the full-CNF fallback solver is loaded lazily on first
   // need (often never — constant propagation decides most answers).
-  {
-    std::vector<uint64_t> content_ids(builder_.num_vars());
-    for (uint32_t v = 0; v < builder_.num_vars(); ++v) {
-      content_ids[v] = builder_.TupleOfVar(v).Pack();
+  if (slice_enable_) {
+    std::vector<uint64_t> content_ids(builder.num_vars());
+    for (uint32_t v = 0; v < builder.num_vars(); ++v) {
+      content_ids[v] = builder.TupleOfVar(v).Pack();
     }
-    slicer_ = std::make_unique<ConeSlicer>(builder_.cnf(), min_model_,
-                                           /*optimal=*/true,
-                                           std::move(content_ids));
+    owned_.slicer = std::make_unique<ConeSlicer>(
+        builder.cnf(), min_model_, /*optimal=*/true, std::move(content_ids));
   }
 }
 
-void SymbolicRepairSpace::EnsureFallbackLoadedLocked() {
-  if (fallback_loaded_) return;
-  fallback_loaded_ = true;
+SymbolicRepairSpace::SymbolicRepairSpace(IncrementalDeletionCnf* cnf,
+                                         const WarmMinOnesResult& optimum,
+                                         const RepairOptions& options,
+                                         SliceStateProvider slice_provider)
+    : min_ones_options_(options.independent.min_ones),
+      slice_enable_(options.cqa_slice.enable),
+      warm_cnf_(cnf),
+      slice_provider_(std::move(slice_provider)) {
+  // Without a proven warm optimum the space cannot be characterized —
+  // same rule as the cold build.
+  exact_ = optimum.satisfiable && optimum.optimal &&
+           cnf->SolvedAtCurrentEpoch();
+  repair_size_ = static_cast<uint32_t>(optimum.num_true);
+}
+
+void SymbolicRepairSpace::PrepareJudges(size_t num_answers) {
+  if (slice_provider_ == nullptr || !slice_enable_ ||
+      num_answers < kWarmMinAnswers) {
+    return;
+  }
+  slice_ = slice_provider_();
+}
+
+const DeletionCnfBuilder& SymbolicRepairSpace::Dense() {
+  if (slice_ != nullptr) return slice_->dense;
+  std::call_once(owned_once_,
+                 [this] { owned_.dense = warm_cnf_->ExtractActive(); });
+  return owned_.dense;
+}
+
+void SymbolicRepairSpace::LoadColdSolverLocked() {
+  if (cold_solver_loaded_) return;
+  cold_solver_loaded_ = true;
   // The pre-slicing entailment backend: the stability CNF plus a
   // permanent cardinality cap at k on one incremental solver — its
   // models under no assumptions are exactly the minimum repairs.
-  SolverOptions entail_options;
-  entail_options.learning = min_ones_options_.enable_learning;
-  entail_options.restarts = min_ones_options_.enable_restarts;
-  *solver_.mutable_options() = entail_options;
-  solver_.AddCnf(builder_.cnf());
-  const uint32_t n = builder_.num_vars();
+  SolverOptions* opts = cold_solver_.mutable_options();
+  opts->learning = min_ones_options_.enable_learning;
+  opts->restarts = min_ones_options_.enable_restarts;
+  const Cnf& cnf = owned_.dense.cnf();
+  cold_solver_.AddCnf(cnf);
+  const uint32_t n = owned_.dense.num_vars();
 
   // The cardinality cap is laid down per connected component of the
   // stability CNF, not as one global counter. Components share no
@@ -205,125 +234,58 @@ void SymbolicRepairSpace::EnsureFallbackLoadedLocked() {
   // the models of the single cap at k. The counters total
   // sum n_i * k_i clauses instead of n * k — orders of magnitude
   // smaller when violations are spread over many small components.
+  // A zero-cost component holds only clause-free variables, which can
+  // never be part of a minimum repair: its cap pins them false.
   std::vector<uint32_t> parent(n);
   for (uint32_t v = 0; v < n; ++v) parent[v] = v;
-  std::function<uint32_t(uint32_t)> find = [&](uint32_t v) {
+  auto find = [&parent](uint32_t v) {
     while (parent[v] != v) {
       parent[v] = parent[parent[v]];
       v = parent[v];
     }
     return v;
   };
-  for (const std::vector<Lit>& clause : builder_.cnf().clauses()) {
+  for (const std::vector<Lit>& clause : cnf.clauses()) {
     for (size_t i = 1; i < clause.size(); ++i) {
       parent[find(LitVar(clause[i]))] = find(LitVar(clause[0]));
     }
   }
-  std::unordered_map<uint32_t, std::vector<uint32_t>> components;
-  for (uint32_t v = 0; v < n; ++v) components[find(v)].push_back(v);
-  for (auto& [root, vars] : components) {
+  std::unordered_map<uint32_t, std::vector<Lit>> components;
+  for (uint32_t v = 0; v < n; ++v) components[find(v)].push_back(PosLit(v));
+  for (const auto& [root, inputs] : components) {
     uint32_t k = 0;
-    for (uint32_t v : vars) k += min_model_[v] ? 1 : 0;
-    if (k == 0) {
-      // Only clause-free variables sit in a zero-cost component; they
-      // can never be part of a minimum repair.
-      for (uint32_t v : vars) solver_.AddClause({NegLit(v)});
-      continue;
-    }
-    if (k >= vars.size()) continue;  // cap would be vacuous
-    std::vector<Lit> inputs;
-    inputs.reserve(vars.size());
-    for (uint32_t v : vars) inputs.push_back(PosLit(v));
-    std::vector<Lit> outputs = BuildTotalizer(&solver_, inputs, k + 1);
-    if (outputs.size() > k) solver_.AddClause({-outputs[k]});
+    for (Lit l : inputs) k += min_model_[LitVar(l)] ? 1 : 0;
+    AddAtMost(&cold_solver_, inputs, k);
   }
 }
 
-bool SymbolicRepairSpace::DeathClause(const std::vector<TupleId>& monomial,
-                                      std::vector<Lit>* out) {
-  bool touched = false;
-  for (const TupleId& t : monomial) {
-    int64_t v = builder_.FindVar(t);
-    if (v >= 0) {
-      out->push_back(PosLit(static_cast<uint32_t>(v)));
-      touched = true;
-    }
-  }
-  return touched;
-}
-
-SolveStatus SymbolicRepairSpace::SolveUnder(
-    ExecContext* ctx, const std::vector<Lit>& assumptions) {
-  SolverOptions* opts = solver_.mutable_options();
-  double remaining = ctx->RemainingSeconds();
-  opts->time_limit_seconds =
-      std::isinf(remaining) ? 0 : std::max(remaining, 1e-9);
-  opts->cancel =
-      ctx->cancel_token() != nullptr ? ctx->cancel_token()->flag() : nullptr;
-  return solver_.Solve(assumptions);
-}
-
-CqaVerdict SymbolicRepairSpace::FallbackCertain(const AnswerProvenance& prov,
-                                                ExecContext* ctx) {
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  EnsureFallbackLoadedLocked();
-  if (ctx->ShouldStop()) return {false, false};
-  // ¬φ: every monomial loses a tuple. A monomial no minimum repair can
-  // touch makes the answer certain outright (untouched tuples are never
-  // part of a minimum stabilizing set).
-  std::vector<std::vector<Lit>> clauses;
-  clauses.reserve(prov.monomials.size());
+CqaVerdict SymbolicRepairSpace::FallbackDecide(const AnswerProvenance& prov,
+                                               bool certain,
+                                               ExecContext* ctx) {
+  // Each monomial over its tuples' solver variables. A monomial with no
+  // deletion variable survives every repair, so the answer is certain
+  // (and possible) outright. Warm variables pinned false by the
+  // entailment assumptions may appear; their literals are simply dead
+  // under those assumptions, which is exactly the intended semantics.
+  std::vector<std::vector<uint32_t>> monomials;
+  monomials.reserve(prov.monomials.size());
   for (const std::vector<TupleId>& m : prov.monomials) {
-    std::vector<Lit> clause;
-    if (!DeathClause(m, &clause)) return {true, true};
-    clauses.push_back(std::move(clause));
-  }
-  const Lit selector = PosLit(solver_.NewVar());
-  for (std::vector<Lit>& clause : clauses) {
-    clause.push_back(-selector);
-    solver_.AddClause(std::move(clause));
-  }
-  SolveStatus status = SolveUnder(ctx, {selector});
-  solver_.AddClause({-selector});  // retire
-  if (status == SolveStatus::kUnknown) {
-    ctx->ShouldStop();  // latch the budget/cancel reason
-    return {false, false};
-  }
-  // UNSAT under ¬φ over the minimum repairs: the answer survives all.
-  return {status == SolveStatus::kUnsat, true};
-}
-
-CqaVerdict SymbolicRepairSpace::FallbackPossible(const AnswerProvenance& prov,
-                                                 ExecContext* ctx) {
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  EnsureFallbackLoadedLocked();
-  if (ctx->ShouldStop()) return {true, false};
-  // φ: some monomial fully survives — Tseitin monomial variables under
-  // a retired selector.
-  for (const std::vector<TupleId>& m : prov.monomials) {
-    std::vector<Lit> death;
-    if (!DeathClause(m, &death)) return {true, true};
-  }
-  const Lit selector = PosLit(solver_.NewVar());
-  std::vector<Lit> some_monomial{-selector};
-  for (const std::vector<TupleId>& m : prov.monomials) {
-    const Lit mono = PosLit(solver_.NewVar());
-    some_monomial.push_back(mono);
+    std::vector<uint32_t> vars;
     for (const TupleId& t : m) {
-      int64_t v = builder_.FindVar(t);
-      if (v >= 0) {
-        solver_.AddClause({-mono, NegLit(static_cast<uint32_t>(v))});
-      }
+      const int64_t v = warm_cnf_ != nullptr ? warm_cnf_->FindVar(t)
+                                             : owned_.dense.FindVar(t);
+      if (v >= 0) vars.push_back(static_cast<uint32_t>(v));
     }
+    if (vars.empty()) return {true, true};
+    monomials.push_back(std::move(vars));
   }
-  solver_.AddClause(std::move(some_monomial));
-  SolveStatus status = SolveUnder(ctx, {selector});
-  solver_.AddClause({-selector});  // retire
-  if (status == SolveStatus::kUnknown) {
-    ctx->ShouldStop();
-    return {true, false};
+  std::lock_guard<std::mutex> lock(fallback_mu_);
+  if (warm_cnf_ != nullptr) {
+    return DecideOnSolver(warm_cnf_->solver(), certain, monomials,
+                          warm_cnf_->entail_assumptions(), ctx);
   }
-  return {status == SolveStatus::kSat, true};
+  LoadColdSolverLocked();
+  return DecideOnSolver(&cold_solver_, certain, monomials, {}, ctx);
 }
 
 std::optional<CqaCounterexample> SymbolicRepairSpace::FallbackCounterexample(
@@ -331,11 +293,15 @@ std::optional<CqaCounterexample> SymbolicRepairSpace::FallbackCounterexample(
   // Min-Ones over stability ∧ ¬φ: the smallest stabilizing set killing
   // the answer. When the answer is non-certain that minimum equals the
   // space's cardinality, so the witness is itself a minimum repair.
-  Cnf cnf = builder_.cnf();
+  const DeletionCnfBuilder& dense = Dense();
+  Cnf cnf = dense.cnf();
   for (const std::vector<TupleId>& m : prov.monomials) {
     std::vector<Lit> clause;
-    if (!DeathClause(m, &clause)) return std::nullopt;  // unkillable
-    for (Lit l : clause) cnf.Touch(LitVar(l));
+    for (const TupleId& t : m) {
+      const int64_t v = dense.FindVar(t);
+      if (v >= 0) clause.push_back(PosLit(static_cast<uint32_t>(v)));
+    }
+    if (clause.empty()) return std::nullopt;  // unkillable
     cnf.AddClause(std::move(clause));
   }
   MinOnesOptions options = min_ones_options_;
@@ -354,8 +320,9 @@ std::optional<CqaCounterexample> SymbolicRepairSpace::FallbackCounterexample(
     return std::nullopt;  // proven certain, or budget before any model
   }
   CqaCounterexample cex;
-  for (uint32_t v = 0; v < builder_.num_vars(); ++v) {
-    if (solved.model[v]) cex.deleted.push_back(builder_.TupleOfVar(v));
+  for (uint32_t v = 0; v < dense.num_vars() && v < solved.model.size();
+       ++v) {
+    if (solved.model[v]) cex.deleted.push_back(dense.TupleOfVar(v));
   }
   std::sort(cex.deleted.begin(), cex.deleted.end());
   cex.minimal = solved.optimal;
@@ -363,15 +330,15 @@ std::optional<CqaCounterexample> SymbolicRepairSpace::FallbackCounterexample(
 }
 
 // The per-worker judge: sliced entailment first, full-CNF fallback when
-// a soundness gate declines. One judge per worker thread; the SlicedJudge
-// inside uses fresh throwaway solvers, so concurrent judges only meet at
-// the memoized slice table, the shared fallback solver's mutex, and the
-// stats flush.
+// slicing is off or a soundness gate declines. One judge per worker
+// thread; concurrent judges only meet at the memoized slice table, the
+// fallback solver's mutex, and the stats flush.
 class SymbolicJudge : public AnswerJudge {
  public:
   explicit SymbolicJudge(SymbolicRepairSpace* space)
       : space_(space),
-        sliced_(space->slicer_.get(), space->slice_options_,
+        sliced_(space->slice_ != nullptr ? space->slice_->slicer.get()
+                                         : nullptr,
                 space->min_ones_options_) {}
 
   ~SymbolicJudge() override {
@@ -382,22 +349,12 @@ class SymbolicJudge : public AnswerJudge {
 
   CqaVerdict Certain(const AnswerProvenance& prov,
                      ExecContext* ctx) override {
-    if (!space_->exact()) return {false, false};
-    if (sliced_.enabled()) {
-      std::optional<CqaVerdict> v = sliced_.Certain(Reduce(prov), ctx);
-      if (v.has_value()) return *v;
-    }
-    return space_->FallbackCertain(prov, ctx);
+    return Decide(prov, /*certain=*/true, ctx);
   }
 
   CqaVerdict Possible(const AnswerProvenance& prov,
                       ExecContext* ctx) override {
-    if (!space_->exact()) return {true, false};
-    if (sliced_.enabled()) {
-      std::optional<CqaVerdict> v = sliced_.Possible(Reduce(prov), ctx);
-      if (v.has_value()) return *v;
-    }
-    return space_->FallbackPossible(prov, ctx);
+    return Decide(prov, /*certain=*/false, ctx);
   }
 
   std::optional<CqaCounterexample> Counterexample(
@@ -412,7 +369,7 @@ class SymbolicJudge : public AnswerJudge {
         CqaCounterexample cex;
         cex.deleted.reserve(out.deleted_vars.size());
         for (uint32_t v : out.deleted_vars) {
-          cex.deleted.push_back(space_->builder_.TupleOfVar(v));
+          cex.deleted.push_back(space_->slice_->dense.TupleOfVar(v));
         }
         std::sort(cex.deleted.begin(), cex.deleted.end());
         cex.minimal = out.minimal;
@@ -423,10 +380,18 @@ class SymbolicJudge : public AnswerJudge {
   }
 
  private:
+  CqaVerdict Decide(const AnswerProvenance& prov, bool certain,
+                    ExecContext* ctx) {
+    if (!space_->exact()) return {!certain, false};
+    if (sliced_.enabled()) return sliced_.Decide(Reduce(prov), certain, ctx);
+    return space_->FallbackDecide(prov, certain, ctx);
+  }
+
   ConeSlicer::ReducedAnswer Reduce(const AnswerProvenance& prov) const {
-    return space_->slicer_->Reduce(
-        prov.monomials,
-        [this](TupleId t) { return space_->builder_.FindVar(t); });
+    const SliceState* slice = space_->slice_;
+    return slice->slicer->Reduce(prov.monomials, [slice](TupleId t) {
+      return slice->dense.FindVar(t);
+    });
   }
 
   SymbolicRepairSpace* space_;
@@ -457,13 +422,20 @@ std::unique_ptr<AnswerJudge> SymbolicRepairSpace::NewJudge() {
 
 void SymbolicRepairSpace::AddStats(RepairStats* stats) const {
   RepairStats total = stats_;
-  total.AddSolver(solver_.stats());
+  total.AddSolver(cold_solver_.stats());  // zero unless loaded
   stats->Add(total);
 }
 
 void SymbolicRepairSpace::AddSliceStats(SliceStats* stats) const {
   stats->Add(slice_stats_);
-  if (slicer_ != nullptr) stats->Add(slicer_->stats());
+  if (slice_ != nullptr && slice_->slicer != nullptr) {
+    stats->Add(slice_->slicer->stats());
+    stats->cone_seconds += slice_->extract_seconds;
+  }
+  if (warm_cnf_ != nullptr) {
+    stats->scrub_runs += warm_cnf_->scrub_runs();
+    stats->clauses_reclaimed += warm_cnf_->clauses_reclaimed();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,15 +17,17 @@
 //
 //  * EnumeratedRepairSpace — an explicit list of repairs (end/stage
 //    singletons; step via memoized DFS over activation sequences);
-//  * SymbolicRepairSpace — the independent space as a CNF: the negated
-//    provenance formula of Algorithm 1 (models = stabilizing sets,
-//    via DeletionCnfBuilder) conjoined with a totalizer cardinality cap
-//    at the Min-Ones optimum. Certain/possible verdicts are incremental
+//  * SymbolicRepairSpace — the independent space as a CNF, built cold
+//    per request or served from the warm engine's state: the negated
+//    provenance formula of Algorithm 1 (models = stabilizing sets)
+//    conjoined with totalizer cardinality caps at the Min-Ones optimum.
+//    Certain/possible verdicts are incremental
 //    CdclSolver::Solve(assumptions) calls — per answer, a retired
 //    selector variable activates the clauses of ¬φ (certain: UNSAT ⇔
 //    the answer survives every minimum repair) or of a Tseitin-encoded
-//    φ (possible: SAT ⇔ some minimum repair keeps it); counterexamples
-//    re-run the Min-Ones machinery over stability ∧ ¬φ.
+//    φ (possible: SAT ⇔ some minimum repair keeps it), on the answer's
+//    cone (cqa/entailment.h) or the full CNF; counterexamples re-run the
+//    Min-Ones machinery over stability ∧ ¬φ.
 //
 // Spaces whose construction was truncated by a budget or cancellation
 // are *inexact*: every verdict degrades to undecided with the
@@ -50,6 +52,7 @@
 #include "cqa/query.h"
 #include "provenance/bool_formula.h"
 #include "provenance/cone.h"
+#include "provenance/incremental_cnf.h"
 #include "repair/repair_options.h"
 #include "sat/min_ones.h"
 #include "sat/solver.h"
@@ -171,19 +174,70 @@ class EnumeratedRepairSpace : public RepairSpace {
   std::vector<std::unordered_set<uint64_t>> packed_;  // per repair
 };
 
-/// The independent space, symbolically: the stability CNF reduced to a
-/// minimum-repair cone decomposition (provenance/cone.h). Per-answer
-/// verdicts run through SlicedJudge on the answer's memoized cone slice
-/// (fresh throwaway solvers — thread-safe and deterministic); the
-/// pre-slicing full-CNF machinery (one shared incremental CDCL solver
-/// with per-component totalizer caps, loaded lazily on first use) stays
-/// as the soundness fallback and the differential-test oracle.
+/// The independent space's dense variable space: the stability CNF over
+/// deletion variables 0..n-1 with each variable's tuple (`dense`), and
+/// the minimum-repair cone decomposition over it (`slicer`; null when
+/// slicing is off). A cold space builds its own; the warm engine keeps
+/// one per CNF epoch and lends it to the requests that slice.
+struct SliceState {
+  DeletionCnfBuilder dense;
+  std::unique_ptr<ConeSlicer> slicer;
+  /// Warm only: the IncrementalDeletionCnf::epoch() this state reflects,
+  /// and the dense extraction's time (the cone build is timed by the
+  /// slicer's own stats).
+  uint64_t epoch = UINT64_MAX;
+  double extract_seconds = 0;
+};
+
+/// Returns the warm engine's slice state, current for the CNF's epoch
+/// (rebuilding it if stale). Must stay valid for the space's lifetime.
+using SliceStateProvider = std::function<SliceState*()>;
+
+/// Requests grounding fewer answers than this leave the warm slice state
+/// alone: below it the long-lived solver's direct assumption solves are
+/// cheaper than refreshing the cone decomposition.
+inline constexpr size_t kWarmMinAnswers = 16;
+
+/// The independent space (Def. 3.3), symbolically, cold or warm. Per-
+/// answer verdicts run through SlicedJudge on the answer's memoized cone
+/// slice, one long-lived solver per slice and judge; the full-CNF path
+/// stays as the soundness fallback and the differential-test oracle
+/// (SliceOptions::enable = false). Cold and warm differ only in data:
+///
+///  * cold — built per request: grounds the stability CNF, pins its
+///    cardinality with Min-Ones and decomposes it into cones; full-CNF
+///    verdicts run on an owned solver with per-component totalizer caps,
+///    loaded lazily on first use;
+///  * warm — borrows the engine's long-lived IncrementalDeletionCnf,
+///    which has run SolveMinOnes at its current epoch; full-CNF verdicts
+///    run on its solver under entail_assumptions(), and requests of at
+///    least kWarmMinAnswers answers slice on the engine's SliceState.
+///    Exactly one warm space may be live at a time, and its owner must
+///    hold the engine lock for the space's whole lifetime
+///    (IncrementalEngine does).
+///
+/// Verdicts are the same at any thread count; solver-effort counters may
+/// vary when threads > 1. Full-CNF certain/possible checks serialize on
+/// one solver; counterexample fallbacks run Min-Ones over private copies
+/// of the dense CNF and run concurrently.
 class SymbolicRepairSpace : public RepairSpace {
  public:
-  /// Builds the space over the view's current state. Reads ctx for
-  /// budget/cancel; on truncation the space is inexact.
+  /// Cold: builds the space over the view's current state. Reads ctx
+  /// for budget/cancel; on truncation the space is inexact.
   SymbolicRepairSpace(InstanceView* view, const Program& program,
                       const RepairOptions& options, ExecContext* ctx);
+  /// Warm: `optimum` is `cnf`'s SolveMinOnes result at its current
+  /// epoch; `slice_provider` (nullable: never slice) is invoked at most
+  /// once, from PrepareJudges. Inexact when the optimum is unsatisfiable
+  /// or unproven.
+  SymbolicRepairSpace(IncrementalDeletionCnf* cnf,
+                      const WarmMinOnesResult& optimum,
+                      const RepairOptions& options,
+                      SliceStateProvider slice_provider);
+
+  /// Warm: fetches the engine's slice state when this request is big
+  /// enough to amortize it (see kWarmMinAnswers).
+  void PrepareJudges(size_t num_answers) override;
 
   /// Direct calls delegate to a temporary judge.
   CqaVerdict Certain(const AnswerProvenance& prov,
@@ -195,43 +249,53 @@ class SymbolicRepairSpace : public RepairSpace {
 
   std::unique_ptr<AnswerJudge> NewJudge() override;
 
+  /// Construction and entailment work. The borrowed warm solver's
+  /// counters are cumulative across the engine's lifetime and are left
+  /// out (the engine reports them once through its own stats).
   void AddStats(RepairStats* stats) const override;
+  /// This request's judge work, plus the slice state's build-side
+  /// counters and (warm) the solver-scrub gauges — cumulative over the
+  /// engine lifetime, since the cone decomposition and compactions are
+  /// amortized across requests.
   void AddSliceStats(SliceStats* stats) const override;
 
  private:
   friend class SymbolicJudge;
 
-  /// Loads the shared fallback solver with the full stability CNF plus
-  /// per-component totalizer caps. Requires fallback_mu_.
-  void EnsureFallbackLoadedLocked();
-  /// Full-CNF verdicts on the shared solver (selector-retired clause
-  /// groups); serialize internally on fallback_mu_.
-  CqaVerdict FallbackCertain(const AnswerProvenance& prov, ExecContext* ctx);
-  CqaVerdict FallbackPossible(const AnswerProvenance& prov,
-                              ExecContext* ctx);
-  /// Full-CNF counterexample: Min-Ones over a private copy of
-  /// stability ∧ ¬φ (no shared solver — runs concurrently).
+  /// Full-CNF certain/possible check: the answer's clauses under a
+  /// retired selector on the fallback solver (cold: the owned capped
+  /// solver, loaded on first use; warm: the borrowed one under
+  /// entail_assumptions()). Serializes on fallback_mu_.
+  CqaVerdict FallbackDecide(const AnswerProvenance& prov, bool certain,
+                            ExecContext* ctx);
+  /// Full-CNF counterexample: Min-Ones over a private copy of the dense
+  /// stability CNF ∧ ¬φ — no shared solver, runs concurrently.
   std::optional<CqaCounterexample> FallbackCounterexample(
       const AnswerProvenance& prov, ExecContext* ctx);
+  /// Loads the owned cold solver with the dense CNF plus per-component
+  /// totalizer caps at the optimum (once). Requires fallback_mu_.
+  void LoadColdSolverLocked();
+  /// The dense CNF: the slice state's, or (warm, unsliced) a snapshot
+  /// extracted once on first use.
+  const DeletionCnfBuilder& Dense();
 
-  /// Monomial death clause: the positive deletion literals of the
-  /// monomial's touched tuples. Returns false when the monomial has no
-  /// touched tuple (it survives every repair).
-  bool DeathClause(const std::vector<TupleId>& monomial,
-                   std::vector<Lit>* out);
-  /// Runs one assumption solve under the remaining ctx budget.
-  SolveStatus SolveUnder(ExecContext* ctx, const std::vector<Lit>& assumptions);
-
-  DeletionCnfBuilder builder_;
   MinOnesOptions min_ones_options_;
-  SliceOptions slice_options_;
-  /// The proven-minimum model of the stability CNF (phase 2).
+  bool slice_enable_ = true;
+  IncrementalDeletionCnf* warm_cnf_ = nullptr;  // warm only: borrowed
+  SliceStateProvider slice_provider_;
+  /// Cold: the space's own state. Warm: the dense snapshot for
+  /// counterexample fallbacks of requests that do not slice.
+  SliceState owned_;
+  std::once_flag owned_once_;
+  /// The state judges read; set before any judge exists (cold:
+  /// &owned_; warm: the provider's, when the request slices).
+  SliceState* slice_ = nullptr;
+  /// Cold: the proven-minimum model of the stability CNF.
   std::vector<bool> min_model_;
-  std::unique_ptr<ConeSlicer> slicer_;
 
-  std::mutex fallback_mu_;  // serializes solver_ use and lazy loading
-  bool fallback_loaded_ = false;
-  CdclSolver solver_;
+  std::mutex fallback_mu_;  // serializes the fallback solver
+  bool cold_solver_loaded_ = false;
+  CdclSolver cold_solver_;
 
   std::mutex stats_mu_;  // judges flush counters concurrently
   SliceStats slice_stats_;

@@ -275,16 +275,12 @@ ConeSlicer::ReducedAnswer ConeSlicer::Reduce(
 }
 
 const ConeSlicer::Slice* ConeSlicer::GetSlice(
-    const std::vector<uint32_t>& seed_open_vars, uint32_t max_cone_vars) {
+    const std::vector<uint32_t>& seed_open_vars) {
   std::vector<uint32_t> comps;
   comps.reserve(seed_open_vars.size());
   for (uint32_t v : seed_open_vars) comps.push_back(comp_of_[v]);
   std::sort(comps.begin(), comps.end());
   comps.erase(std::unique(comps.begin(), comps.end()), comps.end());
-
-  size_t total_vars = 0;
-  for (uint32_t c : comps) total_vars += comps_[c].vars.size();
-  if (total_vars > max_cone_vars) return nullptr;
 
   uint64_t key = Mix1(0xfedcba0987654321ULL, comps.size());
   for (uint32_t c : comps) key = Mix1(key, c);
@@ -295,6 +291,8 @@ const ConeSlicer::Slice* ConeSlicer::GetSlice(
     return it->second.get();
   }
 
+  size_t total_vars = 0;
+  for (uint32_t c : comps) total_vars += comps_[c].vars.size();
   Span span("cone.slice");
   span.SetArg("vars", total_vars);
   span.SetArg("components", comps.size());

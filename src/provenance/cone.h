@@ -155,10 +155,13 @@ class ConeSlicer {
   };
 
   /// Memoized slice for the cone touched by `seed_open_vars` (all must
-  /// be kOpen). Returns nullptr when the cone exceeds `max_cone_vars`
-  /// (the caller falls back to the full CNF). Thread-safe.
-  const Slice* GetSlice(const std::vector<uint32_t>& seed_open_vars,
-                        uint32_t max_cone_vars);
+  /// be kOpen), built on first request; the pointer stays valid for the
+  /// slicer's lifetime, so callers may key per-slice state on it.
+  /// Thread-safe. Slices, and the verdicts decided on them, are the same
+  /// at any thread count; the solver-effort counters (conflicts,
+  /// propagations) of the judges solving them may vary when threads > 1,
+  /// since each worker's judge loads and reuses its own per-slice solver.
+  const Slice* GetSlice(const std::vector<uint32_t>& seed_open_vars);
 
   /// Composes a local cone model into a full deletion set: the forced-
   /// deleted variables, every non-cone component's cached minimum, and

@@ -462,28 +462,21 @@ const std::vector<Lit>& IncrementalDeletionCnf::entail_assumptions() {
   return entail_assumptions_;
 }
 
-Cnf IncrementalDeletionCnf::ExtractActiveCnf(
-    std::vector<TupleId>* tuples) const {
-  std::unordered_map<uint32_t, uint32_t> dense;
-  dense.reserve(deletion_vars_.size());
-  tuples->clear();
-  tuples->reserve(deletion_vars_.size());
-  for (uint32_t i = 0; i < deletion_vars_.size(); ++i) {
-    dense[deletion_vars_[i]] = i;
-    tuples->push_back(tuple_of_[deletion_vars_[i]]);
-  }
-  Cnf cnf(static_cast<uint32_t>(deletion_vars_.size()));
+DeletionCnfBuilder IncrementalDeletionCnf::ExtractActive() const {
+  DeletionCnfBuilder dense;
+  for (uint32_t v : deletion_vars_) dense.VarOf(tuple_of_[v]);
   for (const RuleClause& rc : clauses_) {
     if (!rc.active || rc.tautology) continue;
     std::vector<Lit> mapped;
     mapped.reserve(rc.lits.size());
     for (Lit l : rc.lits) {
-      uint32_t dv = dense[LitVar(l)];
+      const uint32_t dv = static_cast<uint32_t>(
+          dense.FindVar(tuple_of_[LitVar(l)]));
       mapped.push_back(LitSign(l) ? PosLit(dv) : NegLit(dv));
     }
-    cnf.AddClause(std::move(mapped));
+    dense.mutable_cnf().AddClause(std::move(mapped));
   }
-  return cnf;
+  return dense;
 }
 
 ComponentKey IncrementalDeletionCnf::ComponentKeyOf(uint32_t var) const {

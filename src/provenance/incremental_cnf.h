@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "datalog/ground_cache.h"
+#include "provenance/bool_formula.h"
 #include "sat/min_ones.h"
 #include "sat/solver.h"
 
@@ -109,9 +110,10 @@ class IncrementalDeletionCnf {
 
   /// Dense snapshot of the active stability clauses, remapped onto a
   /// fresh variable space (one var per deletion variable, constrained or
-  /// not), for scratch Min-Ones solves such as CQA counterexamples.
-  /// `tuples` receives dense var -> tuple.
-  Cnf ExtractActiveCnf(std::vector<TupleId>* tuples) const;
+  /// not, in deletion-variable order) — the same shape the cold path
+  /// grounds, for the cone decomposition and scratch Min-Ones solves
+  /// such as CQA counterexamples.
+  DeletionCnfBuilder ExtractActive() const;
 
   /// Content key of the component the deletion variable currently
   /// belongs to, or (0,0) for an unconstrained variable (pinned false in

@@ -45,4 +45,15 @@ std::vector<Lit> BuildTotalizer(CdclSolver* solver,
   return BuildSubtree(solver, inputs, 0, inputs.size(), cap);
 }
 
+void AddAtMost(CdclSolver* solver, const std::vector<Lit>& inputs,
+               uint32_t k) {
+  if (k == 0) {
+    for (Lit l : inputs) solver->AddClause({-l});
+    return;
+  }
+  if (k >= inputs.size()) return;  // vacuous
+  std::vector<Lit> outputs = BuildTotalizer(solver, inputs, k + 1);
+  solver->AddClause({-outputs[k]});
+}
+
 }  // namespace deltarepair

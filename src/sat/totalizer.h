@@ -24,6 +24,12 @@ std::vector<Lit> BuildTotalizer(CdclSolver* solver,
                                 const std::vector<Lit>& inputs,
                                 uint32_t cap);
 
+/// Asserts "at most `k` of `inputs` are true" permanently: unit
+/// negations when k is 0, else a totalizer capped at k+1 whose output
+/// k is asserted false (nothing when k >= inputs.size()).
+void AddAtMost(CdclSolver* solver, const std::vector<Lit>& inputs,
+               uint32_t k);
+
 }  // namespace deltarepair
 
 #endif  // DELTAREPAIR_SAT_TOTALIZER_H_

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/timer.h"
-#include "cqa/warm_space.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relation/database.h"
@@ -195,27 +194,25 @@ void IncrementalEngine::EnsureWarmSliceLocked() {
   }
   WallTimer timer;
   warm_slice_.slicer.reset();
-  warm_slice_.cnf = cnf_.ExtractActiveCnf(&warm_slice_.tuples);
-  warm_slice_.var_of.clear();
-  warm_slice_.var_of.reserve(warm_slice_.tuples.size());
+  warm_slice_.dense = cnf_.ExtractActive();
+  const DeletionCnfBuilder& dense = warm_slice_.dense;
   // Packed tuple ids double as the renumbering-stable content identity
   // of each dense variable, so residual-component content keys — and
   // the verdict-cache signatures built from them — survive scrubs and
   // rebuilds.
   std::vector<uint64_t> content_ids;
-  content_ids.reserve(warm_slice_.tuples.size());
-  for (uint32_t i = 0; i < warm_slice_.tuples.size(); ++i) {
-    warm_slice_.var_of[warm_slice_.tuples[i].Pack()] = i;
-    content_ids.push_back(warm_slice_.tuples[i].Pack());
+  content_ids.reserve(dense.num_vars());
+  for (uint32_t v = 0; v < dense.num_vars(); ++v) {
+    content_ids.push_back(dense.TupleOfVar(v).Pack());
   }
-  std::vector<bool> min_model(warm_slice_.tuples.size(), false);
+  std::vector<bool> min_model(dense.num_vars(), false);
   for (const TupleId& t : last_minones_.deleted) {
-    auto it = warm_slice_.var_of.find(t.Pack());
-    if (it != warm_slice_.var_of.end()) min_model[it->second] = true;
+    const int64_t v = dense.FindVar(t);
+    if (v >= 0) min_model[v] = true;
   }
   warm_slice_.extract_seconds = timer.ElapsedSeconds();
   warm_slice_.slicer = std::make_unique<ConeSlicer>(
-      warm_slice_.cnf, min_model, /*optimal=*/true, std::move(content_ids));
+      dense.cnf(), min_model, /*optimal=*/true, std::move(content_ids));
   warm_slice_.epoch = cnf_.epoch();
 }
 
@@ -367,13 +364,13 @@ std::pair<uint64_t, uint64_t> IncrementalEngine::AnswerSignatureLocked(
         // smaller unit than a raw CNF component, so an unrelated delta
         // inside the same giant component no longer invalidates this
         // answer's cached verdict.
-        auto it = warm_slice_.var_of.find(t.Pack());
-        if (it == warm_slice_.var_of.end()) {
+        const int64_t dv = warm_slice_.dense.FindVar(t);
+        if (dv < 0) {
           feed(0);  // no deletion variable: never deletable
           continue;
         }
         const ConeSlicer& slicer = *warm_slice_.slicer;
-        switch (slicer.state(it->second)) {
+        switch (slicer.state(static_cast<uint32_t>(dv))) {
           case ConeSlicer::VarState::kForcedKept:
             feed(1);
             break;
@@ -383,7 +380,8 @@ std::pair<uint64_t, uint64_t> IncrementalEngine::AnswerSignatureLocked(
           case ConeSlicer::VarState::kOpen: {
             feed(3);
             const std::pair<uint64_t, uint64_t> key =
-                slicer.component_content(slicer.component_of(it->second));
+                slicer.component_content(
+                    slicer.component_of(static_cast<uint32_t>(dv)));
             feed(key.first);
             feed(key.second);
             break;
@@ -476,15 +474,13 @@ CqaResult IncrementalEngine::ExecuteCqa(const CqaRequest& request) {
       if (!minones_valid_) break;  // cold fallback
       // The cone decomposition is rebuilt lazily: only when this request
       // grounds enough answers to amortize it (PrepareJudges gates on
-      // SliceOptions::warm_min_answers). mu_ is already held here, so the
-      // Locked refresh is safe from the provider.
-      WarmRepairSpace space(
-          &cnf_, last_minones_, request.options.independent.min_ones,
-          [this]() {
-            EnsureWarmSliceLocked();
-            return &warm_slice_;
-          },
-          request.options.cqa_slice);
+      // kWarmMinAnswers). mu_ is already held here, so the Locked
+      // refresh is safe from the provider.
+      SymbolicRepairSpace space(&cnf_, last_minones_, request.options,
+                                [this]() {
+                                  EnsureWarmSliceLocked();
+                                  return &warm_slice_;
+                                });
       CqaAnswerHooks hooks;
       hooks.lookup = [this, &request](const Tuple& values,
                                       const AnswerProvenance& prov,

@@ -13,8 +13,9 @@
 //   repair layer     a FixpointCache replaying the end-semantics
 //                    fixpoint by delete-rederive, plus per-semantics
 //                    result reuse while the ground program is unchanged;
-//   CQA layer        WarmRepairSpace entailment over the long-lived
-//                    solver plus a per-answer verdict cache keyed by the
+//   CQA layer        the independent SymbolicRepairSpace over the
+//                    long-lived solver and a per-epoch SliceState,
+//                    plus a per-answer verdict cache keyed by the
 //                    answer's provenance cone (component content keys) —
 //                    only answers whose cone intersects the delta are
 //                    re-validated.
@@ -45,7 +46,7 @@
 #include <unordered_map>
 
 #include "cqa/cqa.h"
-#include "cqa/warm_space.h"
+#include "cqa/repair_space.h"
 #include "datalog/ground_cache.h"
 #include "provenance/incremental_cnf.h"
 #include "repair/fixpoint.h"
@@ -179,7 +180,7 @@ class IncrementalEngine {
   /// Dense active-clause snapshot + cone decomposition, rebuilt lazily
   /// per CNF epoch; serves warm CQA slicing and the cone-grained
   /// verdict-cache signatures.
-  WarmSliceState warm_slice_;
+  SliceState warm_slice_;
   RepairResult stage_result_, step_result_;
   uint64_t stage_epoch_ = UINT64_MAX, step_epoch_ = UINT64_MAX;
 

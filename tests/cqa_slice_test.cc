@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -320,8 +322,11 @@ TEST_P(CqaSliceWarmTest, WarmSlicedMatchesColdFullOverUpdates) {
                   inst.description.c_str());
     const char* q = RandomQueries(static_cast<size_t>(step));
     for (const std::string& s : AllSemanticsNames()) {
-      // Warm path, slicing on (the default) — including the warm judge's
-      // cone-grained verdict cache across steps.
+      // Warm path, slicing on (the default), with the engine's verdict
+      // cache across steps. These requests ground fewer than
+      // kWarmMinAnswers answers, so their verdicts come from the
+      // full-CNF path on the long-lived solver; CqaSliceSharedConeTest
+      // covers the warm sliced path.
       CqaRequest request(s, q);
       request.annotate = true;
       CqaResult got = warm->ExecuteCqa(request);
@@ -339,6 +344,118 @@ TEST_P(CqaSliceWarmTest, WarmSlicedMatchesColdFullOverUpdates) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CqaSliceWarmTest, ::testing::Range(0, 8));
+
+// ---------------------------------------------------------------------------
+// Shared cones: the two-rule ERC cascade
+// ---------------------------------------------------------------------------
+
+/// 40 authors with two papers each (drawn from 30) over five orgs. Orgs 0
+/// and 1 are 'ERC' with a dozen authors each: every minimum repair
+/// deletes their org rows, and each org's authors and papers form one
+/// residual component, so the answers from one org share one cone (and
+/// one per-slice solver). Org 2 is 'ERC' with a single paperless author,
+/// so deleting that author ties with deleting the org: its answer to
+/// the author query is possible but not certain. The rest sit in two
+/// non-ERC orgs. Names come from a pool of 25, so some answers of the
+/// paper query merge authors from different orgs and span two cones.
+RandomInstance MakeErcInstance(uint64_t seed) {
+  Rng rng(seed);
+  RandomInstance inst;
+  const uint32_t author = inst.db.AddRelation(
+      RelationSchema("Author", {{"aid", ValueType::kInt},
+                                {"name", ValueType::kString},
+                                {"oid", ValueType::kInt}}));
+  const uint32_t org = inst.db.AddRelation(RelationSchema(
+      "Org", {{"oid", ValueType::kInt}, {"oname", ValueType::kString}}));
+  const uint32_t writes = inst.db.AddRelation(RelationSchema(
+      "Writes", {{"aid", ValueType::kInt}, {"pid", ValueType::kInt}}));
+  const char* org_names[] = {"ERC", "ERC", "ERC", "MIT", "TAU"};
+  for (int64_t o = 0; o < 5; ++o) {
+    inst.db.Insert(org, {Value(o), Value(org_names[o])});
+  }
+  for (int64_t a = 0; a < 40; ++a) {
+    const int64_t oid = a < 12 ? 0 : a < 24 ? 1 : a == 24 ? 2 : 3 + a % 2;
+    const std::string name =
+        StrFormat("n%d", static_cast<int>(rng.NextBounded(25)));
+    inst.db.Insert(author, {Value(a), Value(name), Value(oid)});
+    if (oid == 2) continue;
+    for (int w = 0; w < 2; ++w) {
+      inst.db.Insert(writes,
+                     {Value(a), Value(static_cast<int64_t>(
+                                    rng.NextBounded(30)))});
+    }
+  }
+  inst.description =
+      "~Author(a, n, o) :- Author(a, n, o), Org(o, x), x = 'ERC'.\n"
+      "~Writes(a, p) :- Writes(a, p), ~Author(a, n, o).\n";
+  inst.program = MustParseProgram(inst.description);
+  return inst;
+}
+
+/// Both ground more than kWarmMinAnswers answers on the ERC instance.
+const char* const kErcQueries[] = {
+    "Q(n, p) :- Author(a, n, o), Writes(a, p).",
+    "Q(a, o) :- Author(a, n, o).",
+};
+
+// Warm independent CQA on shared cones across delete/reinsert updates:
+// the requests are large enough to slice on the engine's per-epoch
+// cone decomposition, and each result must match the cold full-CNF
+// oracle. An unchanged repeat is served from the verdict cache.
+TEST(CqaSliceSharedConeTest, WarmSlicedMatchesColdFullOverUpdates) {
+  RandomInstance inst = MakeErcInstance(7);
+  StatusOr<std::unique_ptr<IncrementalEngine>> warm_or =
+      IncrementalEngine::Create(&inst.db, inst.program);
+  ASSERT_TRUE(warm_or.ok());
+  IncrementalEngine* warm = warm_or->get();
+  StatusOr<RepairEngine> cold_or =
+      RepairEngine::Create(&inst.db, inst.program);
+  ASSERT_TRUE(cold_or.ok());
+  RepairEngine* cold = &cold_or.value();
+
+  Rng rng(4242);
+  std::optional<std::pair<uint32_t, Tuple>> removed;
+  uint64_t sliced_solves = 0;
+  const int steps = ScaledIters(12);
+  for (int step = 0; step < steps; ++step) {
+    // Odd steps delete a random live tuple, even ones put it back.
+    if (removed.has_value()) {
+      inst.db.ApplyUpdate(removed->first, true, {removed->second});
+      removed.reset();
+    } else if (step > 0) {
+      std::vector<TupleId> live = inst.db.base_view().LiveTupleIds();
+      const TupleId victim = live[rng.NextBounded(live.size())];
+      removed.emplace(victim.relation, inst.db.tuple(victim));
+      inst.db.ApplyUpdate(victim.relation, false, {removed->second});
+    }
+    const char* q = kErcQueries[step % 2];
+    const std::string context =
+        StrFormat("step %d (v%llu)\nquery: %s\n", step,
+                  static_cast<unsigned long long>(inst.db.version()), q);
+    CqaRequest request("independent", q);
+    request.annotate = true;
+    CqaRequest oracle = request;
+    oracle.options.cqa_slice.enable = false;
+    CqaResult want = AnswerQueryOnSnapshot(cold, oracle);
+    CqaResult got = warm->ExecuteCqa(request);
+    ExpectSameAnswers(&inst.db, cold->program(), q, got, want,
+                      "warm-vs-cold\n" + context);
+    ASSERT_GE(got.answers.size(), kWarmMinAnswers) << context;
+    if (step == 0) {
+      EXPECT_GT(got.stats.slice.cone_vars, 0u) << context;
+      EXPECT_GT(got.stats.slice.sliced_solve_calls, 0u) << context;
+    }
+    sliced_solves += got.stats.slice.sliced_solve_calls;
+
+    const uint64_t hits = warm->stats().verdict_cache_hits;
+    CqaResult again = warm->ExecuteCqa(request);
+    ExpectSameAnswers(&inst.db, cold->program(), q, again, want,
+                      "warm repeat\n" + context);
+    EXPECT_EQ(warm->stats().verdict_cache_hits - hits, again.answers.size())
+        << context;
+  }
+  EXPECT_GT(sliced_solves, 0u);
+}
 
 // ---------------------------------------------------------------------------
 // Parallel entailment stress (TSan target)
@@ -372,6 +489,36 @@ TEST(CqaSliceStressTest, ParallelEntailmentWithSlicing) {
       CqaResult warm_par = (*warm_or)->ExecuteCqa(request);
       ExpectSameAnswers(&f.ex.db, f.engine->program(), query, warm_par, seq,
                         StrFormat("warm round %d %s", round, s.c_str()));
+    }
+  }
+
+  // Answers that share cones: several judges each load and reuse a
+  // solver for the same memoized slices.
+  RandomInstance erc = MakeErcInstance(7);
+  StatusOr<RepairEngine> erc_cold = RepairEngine::Create(&erc.db, erc.program);
+  ASSERT_TRUE(erc_cold.ok());
+  for (int round = 0; round < rounds; ++round) {
+    for (const char* q : kErcQueries) {
+      CqaRequest request("independent", q);
+      request.annotate = true;
+      request.options.threads = 4;
+      CqaRequest sequential = request;
+      sequential.options.threads = 1;
+
+      CqaResult par = AnswerQuery(&erc_cold.value(), request);
+      CqaResult seq = AnswerQuery(&erc_cold.value(), sequential);
+      ExpectSameAnswers(&erc.db, erc_cold->program(), q, par, seq,
+                        StrFormat("erc cold round %d\nquery: %s", round, q));
+      EXPECT_GT(par.stats.slice.sliced_solve_calls, 0u) << q;
+
+      // A fresh warm engine, so no verdict cache answers in its place.
+      StatusOr<std::unique_ptr<IncrementalEngine>> erc_warm =
+          IncrementalEngine::Create(&erc.db, erc.program);
+      ASSERT_TRUE(erc_warm.ok());
+      CqaResult warm_par = (*erc_warm)->ExecuteCqa(request);
+      ExpectSameAnswers(&erc.db, erc_cold->program(), q, warm_par, seq,
+                        StrFormat("erc warm round %d\nquery: %s", round, q));
+      EXPECT_GT(warm_par.stats.slice.sliced_solve_calls, 0u) << q;
     }
   }
 }

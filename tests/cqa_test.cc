@@ -12,6 +12,7 @@
 #include "cqa/brute_force.h"
 #include "cqa/cqa.h"
 #include "repair/stability.h"
+#include "service/incremental_engine.h"
 #include "tests/test_util.h"
 #include "workload/programs.h"
 
@@ -167,6 +168,22 @@ TEST(CqaTest, UnknownSemanticsAndBadQueryFailCleanly) {
   CqaRequest bad_rel("end", "Q(n) :- Missing(a, n).");
   CqaResult r3 = AnswerQuery(&f.engine.value(), bad_rel);
   EXPECT_FALSE(r3.ok());
+
+  // The warm engine reaches the same preamble through its own spaces
+  // (end, independent) or the cold fallback (unknown semantics): each
+  // request fails with the cold path's status.
+  StatusOr<std::unique_ptr<IncrementalEngine>> warm =
+      IncrementalEngine::Create(&f.ex.db, f.ex.program);
+  ASSERT_TRUE(warm.ok());
+  for (const CqaRequest& request :
+       {bogus, bad_query, bad_rel, CqaRequest("independent", bad_query.query),
+        CqaRequest("independent", bad_rel.query)}) {
+    CqaResult cold = AnswerQuery(&f.engine.value(), request);
+    CqaResult served = (*warm)->ExecuteCqa(request);
+    EXPECT_FALSE(served.ok()) << request.semantics << " " << request.query;
+    EXPECT_EQ(served.termination, TerminationReason::kInvalidProgram);
+    EXPECT_EQ(served.status.ToString(), cold.status.ToString());
+  }
 }
 
 TEST(CqaTest, AliasResolvesThroughSemanticsRegistry) {
