@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <unordered_map>
 
 #include "common/timer.h"
 #include "cqa/entailment.h"
 #include "datalog/grounder.h"
 #include "relation/instance_view.h"
 #include "repair/semantics_registry.h"
+#include "sat/cnf_split.h"
 #include "sat/totalizer.h"
 
 namespace deltarepair {
@@ -159,7 +159,9 @@ SymbolicRepairSpace::SymbolicRepairSpace(InstanceView* view,
     solved = MinOnesSat(builder.cnf(), solver_options);
   }
   stats_.AddSolver(solved.solver);
-  if (!solved.satisfiable || !solved.optimal || ctx->ShouldStop()) {
+  // The request's own budget or cancel token is latched first: when it
+  // stopped Min-Ones, that is the reason to report, not a truncation.
+  if (ctx->ShouldStop() || !solved.satisfiable || !solved.optimal) {
     exact_ = false;
     stats_.optimal = false;
     return;
@@ -234,28 +236,24 @@ void SymbolicRepairSpace::LoadColdSolverLocked() {
   // the models of the single cap at k. The counters total
   // sum n_i * k_i clauses instead of n * k — orders of magnitude
   // smaller when violations are spread over many small components.
-  // A zero-cost component holds only clause-free variables, which can
-  // never be part of a minimum repair: its cap pins them false.
-  std::vector<uint32_t> parent(n);
-  for (uint32_t v = 0; v < n; ++v) parent[v] = v;
-  auto find = [&parent](uint32_t v) {
-    while (parent[v] != v) {
-      parent[v] = parent[parent[v]];
-      v = parent[v];
-    }
-    return v;
-  };
-  for (const std::vector<Lit>& clause : cnf.clauses()) {
-    for (size_t i = 1; i < clause.size(); ++i) {
-      parent[find(LitVar(clause[i]))] = find(LitVar(clause[0]));
-    }
-  }
-  std::unordered_map<uint32_t, std::vector<Lit>> components;
-  for (uint32_t v = 0; v < n; ++v) components[find(v)].push_back(PosLit(v));
-  for (const auto& [root, inputs] : components) {
+  // The raw CNF is split, not the reduced one: this path is the oracle
+  // for sliced verdicts, so it must not depend on the reduction. A
+  // clause-free variable is never part of a minimum repair: pinned false.
+  const CnfComponents split = SplitComponents(cnf.clauses(), n);
+  for (const CnfComponents::Component& comp : split.components) {
+    std::vector<Lit> inputs;
+    inputs.reserve(comp.vars.size());
     uint32_t k = 0;
-    for (Lit l : inputs) k += min_model_[LitVar(l)] ? 1 : 0;
+    for (uint32_t v : comp.vars) {
+      inputs.push_back(PosLit(v));
+      k += min_model_[v] ? 1 : 0;
+    }
     AddAtMost(&cold_solver_, inputs, k);
+  }
+  for (uint32_t v = 0; v < n; ++v) {
+    if (split.comp_of[v] == CnfComponents::kNone) {
+      cold_solver_.AddClause({NegLit(v)});
+    }
   }
 }
 

@@ -7,47 +7,6 @@
 #include "obs/trace.h"
 
 namespace deltarepair {
-namespace {
-
-// Content hashing for component keys: order-insensitive across clauses
-// (commutative accumulation), order-sensitive within a clause (literals
-// are pre-sorted). Two independent mixers shrink collision odds to a
-// 128-bit event.
-uint64_t Mix1(uint64_t h, uint64_t v) {
-  h = (h ^ v) * 0x00000100000001b3ULL;
-  h ^= h >> 32;
-  return h;
-}
-uint64_t Mix2(uint64_t h, uint64_t v) {
-  h = (h + v) * 0x9e3779b97f4a7c15ULL;
-  h ^= h >> 29;
-  return h;
-}
-
-// Union-find with path halving, over open variables.
-class Dsu {
- public:
-  explicit Dsu(size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0u);
-  }
-  uint32_t Find(uint32_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(uint32_t a, uint32_t b) {
-    a = Find(a);
-    b = Find(b);
-    if (a != b) parent_[std::max(a, b)] = std::min(a, b);
-  }
-
- private:
-  std::vector<uint32_t> parent_;
-};
-
-}  // namespace
 
 void SliceStats::Add(const SliceStats& o) {
   cone_seconds += o.cone_seconds;
@@ -70,159 +29,55 @@ ConeSlicer::ConeSlicer(const Cnf& cnf, const std::vector<bool>& min_model,
   // *minimum* models; without a proven optimum that reading is unsound.
   if (!optimal) return;
   if (!content_ids.empty() && content_ids.size() != num_vars_) return;
-  if (!Preprocess(cnf, min_model)) return;
+  ReducedCnf reduced = ReduceForMinimumModels(cnf.clauses(), num_vars_);
+  if (reduced.refuted) return;  // inconsistent input
+  // The supplied minimum model must agree with every pinned variable —
+  // a mismatch means it was not a model or not minimal, and slicing on
+  // top of it would be unsound.
+  state_.assign(num_vars_, VarState::kOpen);
+  for (uint32_t v = 0; v < num_vars_; ++v) {
+    if (reduced.fixed[v] < 0) continue;
+    const bool model_true = v < min_model.size() && min_model[v];
+    if (model_true != (reduced.fixed[v] == 1)) return;
+    if (model_true) {
+      state_[v] = VarState::kForcedDeleted;
+      forced_deleted_.push_back(v);
+    } else {
+      state_[v] = VarState::kForcedKept;
+    }
+  }
+  residual_ = std::move(reduced.clauses);
   if (content_ids.empty()) {
     content_ids.resize(num_vars_);
     std::iota(content_ids.begin(), content_ids.end(), uint64_t{0});
   }
-  BuildComponents(min_model, content_ids);
-  valid_ = true;
-}
 
-bool ConeSlicer::Preprocess(const Cnf& cnf,
-                            const std::vector<bool>& min_model) {
-  // -1 unassigned, 0 forced false (kept), 1 forced true (deleted).
-  std::vector<int8_t> assigned(num_vars_, -1);
-  const auto& clauses = cnf.clauses();
-  std::vector<bool> satisfied(clauses.size(), false);
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Unit propagation to fixpoint: a forced literal holds in every
-    // model of the CNF.
-    bool bcp = true;
-    while (bcp) {
-      bcp = false;
-      for (size_t ci = 0; ci < clauses.size(); ++ci) {
-        if (satisfied[ci]) continue;
-        Lit unit = 0;
-        int open = 0;
-        bool sat = false;
-        for (Lit l : clauses[ci]) {
-          int8_t a = assigned[LitVar(l)];
-          if (a < 0) {
-            ++open;
-            unit = l;
-          } else if ((a == 1) == LitSign(l)) {
-            sat = true;
-            break;
-          }
-        }
-        if (sat) {
-          satisfied[ci] = true;
-          continue;
-        }
-        if (open == 0) return false;  // conflict: inconsistent input
-        if (open == 1) {
-          assigned[LitVar(unit)] = LitSign(unit) ? 1 : 0;
-          satisfied[ci] = true;
-          bcp = changed = true;
-        }
-      }
-    }
-    // Pure-negative elimination: a variable with no positive occurrence
-    // in any unsatisfied clause is false in every minimum model
-    // (flipping it false keeps all clauses satisfied and strictly
-    // shrinks the deletion set). Vars absent from every unsatisfied
-    // clause qualify too.
-    std::vector<bool> pos_occ(num_vars_, false);
-    for (size_t ci = 0; ci < clauses.size(); ++ci) {
-      if (satisfied[ci]) continue;
-      for (Lit l : clauses[ci]) {
-        if (LitSign(l) && assigned[LitVar(l)] < 0) pos_occ[LitVar(l)] = true;
-      }
-    }
-    for (uint32_t v = 0; v < num_vars_; ++v) {
-      if (assigned[v] < 0 && !pos_occ[v]) {
-        assigned[v] = 0;
-        changed = true;
-      }
-    }
-  }
-
-  // The supplied minimum model must agree with every pinned variable —
-  // a mismatch means it was not a model or not minimal, and slicing on
-  // top of it would be unsound.
-  for (uint32_t v = 0; v < num_vars_; ++v) {
-    if (assigned[v] < 0) continue;
-    bool model_true = v < min_model.size() && min_model[v];
-    if (model_true != (assigned[v] == 1)) return false;
-  }
-
-  state_.assign(num_vars_, VarState::kOpen);
-  for (uint32_t v = 0; v < num_vars_; ++v) {
-    if (assigned[v] == 1) {
-      state_[v] = VarState::kForcedDeleted;
-      forced_deleted_.push_back(v);
-    } else if (assigned[v] == 0) {
-      state_[v] = VarState::kForcedKept;
-    }
-  }
-  for (size_t ci = 0; ci < clauses.size(); ++ci) {
-    if (satisfied[ci]) continue;
-    std::vector<Lit> reduced;
-    for (Lit l : clauses[ci]) {
-      if (assigned[LitVar(l)] < 0) reduced.push_back(l);
-    }
-    residual_.push_back(std::move(reduced));
-  }
-  return true;
-}
-
-void ConeSlicer::BuildComponents(const std::vector<bool>& min_model,
-                                 const std::vector<uint64_t>& content_ids) {
-  Dsu dsu(num_vars_);
-  for (const auto& clause : residual_) {
-    for (size_t i = 1; i < clause.size(); ++i) {
-      dsu.Union(LitVar(clause[0]), LitVar(clause[i]));
-    }
-  }
-  // Components numbered in order of their smallest variable, for a
-  // deterministic layout.
-  comp_of_.assign(num_vars_, UINT32_MAX);
-  std::unordered_map<uint32_t, uint32_t> comp_of_root;
-  for (uint32_t v = 0; v < num_vars_; ++v) {
-    if (state_[v] != VarState::kOpen) continue;
-    uint32_t root = dsu.Find(v);
-    auto it = comp_of_root.find(root);
-    if (it == comp_of_root.end()) {
-      it = comp_of_root.emplace(root, static_cast<uint32_t>(comps_.size()))
-               .first;
-      comps_.emplace_back();
-    }
-    comp_of_[v] = it->second;
-    Component& comp = comps_[it->second];
-    comp.vars.push_back(v);
+  CnfComponents split = SplitComponents(residual_, num_vars_);
+  comp_of_ = std::move(split.comp_of);
+  comps_.resize(split.components.size());
+  for (size_t c = 0; c < comps_.size(); ++c) {
+    Component& comp = comps_[c];
+    comp.vars = std::move(split.components[c].vars);
+    comp.clauses = std::move(split.components[c].clauses);
     // The global optimum restricted to a component is that component's
     // optimum: k_i and a witness come for free from the model.
-    if (v < min_model.size() && min_model[v]) {
-      comp.true_vars.push_back(v);
-      ++comp.cost;
+    for (uint32_t v : comp.vars) {
+      if (v < min_model.size() && min_model[v]) comp.true_vars.push_back(v);
+    }
+    comp.cost = static_cast<uint32_t>(comp.true_vars.size());
+    // Content: each clause keyed over (content_id, sign) codes, summed
+    // so clause order never matters.
+    for (uint32_t ci : comp.clauses) {
+      std::vector<uint64_t> codes;
+      codes.reserve(residual_[ci].size());
+      for (Lit l : residual_[ci]) {
+        codes.push_back((content_ids[LitVar(l)] << 1) |
+                        (LitSign(l) ? 1u : 0u));
+      }
+      AddKey(&comp.content, ClauseContentKey(std::move(codes)));
     }
   }
-  for (size_t ci = 0; ci < residual_.size(); ++ci) {
-    uint32_t c = comp_of_[LitVar(residual_[ci][0])];
-    comps_[c].clauses.push_back(static_cast<uint32_t>(ci));
-    // Clause content: size-prefixed sorted (content_id, sign) codes,
-    // folded commutatively into the component key so clause order never
-    // matters.
-    std::vector<uint64_t> codes;
-    codes.reserve(residual_[ci].size());
-    for (Lit l : residual_[ci]) {
-      codes.push_back((content_ids[LitVar(l)] << 1) |
-                      (LitSign(l) ? 1u : 0u));
-    }
-    std::sort(codes.begin(), codes.end());
-    uint64_t h1 = Mix1(0x243f6a8885a308d3ULL, codes.size());
-    uint64_t h2 = Mix2(0x13198a2e03707344ULL, codes.size());
-    for (uint64_t code : codes) {
-      h1 = Mix1(h1, code);
-      h2 = Mix2(h2, code);
-    }
-    comps_[c].content.first += h1;
-    comps_[c].content.second += h2;
-  }
+  valid_ = true;
 }
 
 ConeSlicer::ReducedAnswer ConeSlicer::Reduce(
@@ -282,14 +137,9 @@ const ConeSlicer::Slice* ConeSlicer::GetSlice(
   std::sort(comps.begin(), comps.end());
   comps.erase(std::unique(comps.begin(), comps.end()), comps.end());
 
-  uint64_t key = Mix1(0xfedcba0987654321ULL, comps.size());
-  for (uint32_t c : comps) key = Mix1(key, c);
-
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = slices_.find(key);
-  if (it != slices_.end() && it->second->comps == comps) {
-    return it->second.get();
-  }
+  auto it = slices_.find(comps);
+  if (it != slices_.end()) return it->second.get();
 
   size_t total_vars = 0;
   for (uint32_t c : comps) total_vars += comps_[c].vars.size();
@@ -335,10 +185,7 @@ const ConeSlicer::Slice* ConeSlicer::GetSlice(
   build_stats_.cone_vars += total_vars;
   build_stats_.cone_clauses += slice->cnf.num_clauses();
   const Slice* result = slice.get();
-  // A 64-bit key collision between distinct component sets would serve
-  // the wrong slice; keep the old entry and hand out this one unmemoized.
-  if (it == slices_.end()) slices_[key] = std::move(slice);
-  else orphaned_.push_back(std::move(slice));
+  slices_.emplace(std::move(comps), std::move(slice));
   return result;
 }
 

@@ -4,21 +4,15 @@
 // deletion CNF reachable from its why-provenance monomials — but raw
 // clause connectivity is useless as a cone boundary on join-heavy
 // programs, whose CNF is one giant component. The ConeSlicer therefore
-// first restricts the formula to the *minimum-repair space* with two
-// min-model-preserving reductions, then slices at the granularity of
-// what survives:
-//
-//  1. Boolean constraint propagation: a unit-forced literal holds in
-//     every model, so its variable is pinned (forced-deleted when the
-//     unit is positive, forced-kept when negative).
-//  2. Pure-negative-literal elimination: a variable with no positive
-//     occurrence among the remaining unsatisfied clauses can be flipped
-//     false in any model without falsifying anything, strictly lowering
-//     the deletion count — so every *minimum* model keeps it
-//     (forced-kept). Rounds of 1+2 run to fixpoint.
+// first restricts the formula to the *minimum-repair space* with the
+// reduction Min-Ones runs too (ReduceForMinimumModels, sat/cnf_split.h:
+// unit propagation pins forced-deleted and forced-kept variables, the
+// pure-negative cascade pins variables every minimum model keeps), then
+// slices at the granularity of what survives.
 //
 // The residual clauses (open literals only) split into connected
-// components; the minimum repairs factorize exactly as
+// components (SplitComponents, the same split Min-Ones uses); the
+// minimum repairs factorize exactly as
 //
 //   {forced-deleted} x {forced-kept} x prod_i MinModels(C_i, k_i)
 //
@@ -40,6 +34,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -48,6 +43,7 @@
 
 #include "relation/tuple.h"
 #include "sat/cnf.h"
+#include "sat/cnf_split.h"
 
 namespace deltarepair {
 
@@ -100,7 +96,7 @@ class ConeSlicer {
   /// (hashes its reduced clauses over content ids). Equal keys across
   /// epochs mean an identical residual subproblem over identical
   /// tuples.
-  std::pair<uint64_t, uint64_t> component_content(uint32_t c) const {
+  ComponentKey component_content(uint32_t c) const {
     return comps_[c].content;
   }
   uint32_t component_cost(uint32_t c) const { return comps_[c].cost; }
@@ -180,12 +176,8 @@ class ConeSlicer {
     std::vector<uint32_t> clauses;     // indices into residual_
     std::vector<uint32_t> true_vars;   // min_model restriction
     uint32_t cost = 0;                 // k_i
-    std::pair<uint64_t, uint64_t> content{0, 0};
+    ComponentKey content{0, 0};
   };
-
-  bool Preprocess(const Cnf& cnf, const std::vector<bool>& min_model);
-  void BuildComponents(const std::vector<bool>& min_model,
-                       const std::vector<uint64_t>& content_ids);
 
   bool valid_ = false;
   uint32_t num_vars_ = 0;
@@ -195,11 +187,8 @@ class ConeSlicer {
   std::vector<uint32_t> comp_of_;           // open var -> component index
   std::vector<Component> comps_;
 
-  mutable std::mutex mu_;  // guards slices_, orphaned_ and build_stats_
-  std::unordered_map<uint64_t, std::unique_ptr<Slice>> slices_;
-  /// Slices built on a (vanishingly unlikely) memo-key collision: kept
-  /// alive here, handed out unmemoized.
-  std::vector<std::unique_ptr<Slice>> orphaned_;
+  mutable std::mutex mu_;  // guards slices_ and build_stats_
+  std::map<std::vector<uint32_t>, std::unique_ptr<Slice>> slices_;
   SliceStats build_stats_;
 };
 

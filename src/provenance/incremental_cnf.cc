@@ -3,59 +3,10 @@
 #include <algorithm>
 
 #include "common/status.h"
+#include "sat/cnf_split.h"
 #include "sat/totalizer.h"
 
 namespace deltarepair {
-
-namespace {
-
-uint64_t Mix(uint64_t h, uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL + h;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-// Second, independent mixer (murmur3 finalizer constants) so a
-// component key is two unrelated 64-bit hashes.
-uint64_t Mix2(uint64_t h, uint64_t x) {
-  x += 0xff51afd7ed558ccdULL + (h << 1);
-  x = (x ^ (x >> 33)) * 0xc4ceb9fe1a85ec53ULL;
-  x = (x ^ (x >> 29)) * 0xff51afd7ed558ccdULL;
-  return x ^ (x >> 32);
-}
-
-// Union-find over dense solver var ids (lazily grown flat array — the
-// per-solve grouping walks every active clause, so map overhead here
-// would dominate warm solves on large CNFs).
-class Dsu {
- public:
-  uint32_t Find(uint32_t v) {
-    if (v >= parent_.size()) {
-      parent_.resize(v + 1, kUnset);
-    }
-    if (parent_[v] == kUnset) parent_[v] = v;
-    uint32_t root = v;
-    while (parent_[root] != root) root = parent_[root];
-    while (parent_[v] != root) {  // path compression
-      uint32_t next = parent_[v];
-      parent_[v] = root;
-      v = next;
-    }
-    return root;
-  }
-  void Union(uint32_t a, uint32_t b) {
-    a = Find(a);
-    b = Find(b);
-    if (a != b) parent_[a] = b;
-  }
-
- private:
-  static constexpr uint32_t kUnset = 0xffffffffu;
-  std::vector<uint32_t> parent_;
-};
-
-}  // namespace
 
 IncrementalDeletionCnf::IncrementalDeletionCnf()
     : solver_(new CdclSolver()) {}
@@ -103,16 +54,15 @@ void IncrementalDeletionCnf::Encode(const Program& program,
     }
     if (!rc.tautology) {
       rc.lits = std::move(lits);
-      rc.h1 = Mix(0, rc.lits.size());
-      rc.h2 = Mix2(0, rc.lits.size());
+      // Hash tuple content, not the solver var id: component keys then
+      // survive the dense renumbering of Scrub.
+      std::vector<uint64_t> codes;
+      codes.reserve(rc.lits.size());
       for (Lit l : rc.lits) {
-        // Hash tuple content, not the solver var id: component keys
-        // then survive the dense renumbering of Scrub.
-        const uint64_t x =
-            tuple_of_[LitVar(l)].Pack() * 2 + (LitSign(l) ? 1 : 0);
-        rc.h1 = Mix(rc.h1, x);
-        rc.h2 = Mix2(rc.h2, x);
+        codes.push_back((tuple_of_[LitVar(l)].Pack() << 1) |
+                        (LitSign(l) ? 1u : 0u));
       }
+      rc.key = ClauseContentKey(std::move(codes));
     }
   }
   rc.active = true;
@@ -262,67 +212,46 @@ WarmMinOnesResult IncrementalDeletionCnf::SolveMinOnes(
     const MinOnesOptions& options) {
   WarmMinOnesResult out;
 
-  // Group the active clause set into connected components.
+  // Split the active clause set into connected components, ordered by
+  // smallest var so solving order — and thus budget distribution — is
+  // deterministic.
   std::vector<uint32_t> active_ids;
+  std::vector<const std::vector<Lit>*> active;
   active_ids.reserve(active_rules_);
-  Dsu dsu;
+  active.reserve(active_rules_);
   for (uint32_t id = 0; id < clauses_.size(); ++id) {
     const RuleClause& rc = clauses_[id];
     if (!rc.active || rc.tautology) continue;
     active_ids.push_back(id);
-    for (size_t i = 1; i < rc.lits.size(); ++i)
-      dsu.Union(LitVar(rc.lits[0]), LitVar(rc.lits[i]));
+    active.push_back(&rc.lits);
   }
-  struct Comp {
-    std::vector<uint32_t> clause_ids;
-    std::vector<uint32_t> vars;
-  };
-  std::unordered_map<uint32_t, Comp> comps;
-  for (uint32_t id : active_ids)
-    comps[dsu.Find(LitVar(clauses_[id].lits[0]))].clause_ids.push_back(id);
-  for (uint32_t v : deletion_vars_) {
-    auto it = comps.find(dsu.Find(v));
-    // Vars never unioned map to themselves; only roots owning clauses
-    // form components. Unconstrained vars stay outside every component.
-    if (it != comps.end()) it->second.vars.push_back(v);
-  }
+  // Unconstrained vars stay outside every component.
+  const std::vector<CnfComponents::Component> comps =
+      SplitComponents(active, static_cast<uint32_t>(tuple_of_.size()))
+          .components;
 
   comp_key_of_var_.clear();
   live_components_.clear();
   out.satisfiable = true;
   out.optimal = true;
 
-  // Deterministic component order (by smallest var) so solving order —
-  // and thus budget distribution — does not depend on hash iteration.
-  std::vector<Comp*> ordered;
-  ordered.reserve(comps.size());
-  for (auto& [root, comp] : comps) ordered.push_back(&comp);
-  for (Comp* c : ordered) std::sort(c->vars.begin(), c->vars.end());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Comp* a, const Comp* b) {
-              return a->vars.front() < b->vars.front();
-            });
-
   std::vector<bool> global_true(tuple_of_.size(), false);
-  for (Comp* comp : ordered) {
-    // Content key over stable var ids: per-clause hashes (fixed at
-    // encode time) combined *commutatively* across clauses, so no
-    // canonical clause order — and no per-solve re-hash of the CNF — is
-    // needed. A colliding key only costs a cache miss (the reuse path
-    // re-verifies the model below).
+  for (const CnfComponents::Component& comp : comps) {
+    // Content key over stable var ids: per-clause keys (fixed at encode
+    // time) summed across clauses, so no canonical clause order — and no
+    // per-solve re-hash of the CNF — is needed. A colliding key only
+    // costs a cache miss (the reuse path re-verifies the model below).
     std::vector<const std::vector<Lit>*> cls;
-    cls.reserve(comp->clause_ids.size());
-    ComponentKey key{0x1234567890abcdefULL, 0xfedcba0987654321ULL};
-    for (uint32_t id : comp->clause_ids) {
-      const RuleClause& rc = clauses_[id];
-      cls.push_back(&rc.lits);
-      key.first += rc.h1;
-      key.second += rc.h2;
+    cls.reserve(comp.clauses.size());
+    ComponentKey key{0, 0};
+    for (uint32_t ci : comp.clauses) {
+      cls.push_back(active[ci]);
+      AddKey(&key, clauses_[active_ids[ci]].key);
     }
 
     LiveComponent live;
     live.key = key;
-    live.vars = comp->vars;
+    live.vars = comp.vars;
 
     auto cached = component_cache_.find(key);
     bool reused = false;
@@ -332,7 +261,7 @@ WarmMinOnesResult IncrementalDeletionCnf::SolveMinOnes(
       std::vector<bool> model(tuple_of_.size(), false);
       bool in_comp = true;
       for (uint32_t v : cached->second.true_vars) {
-        if (!std::binary_search(comp->vars.begin(), comp->vars.end(), v)) {
+        if (!std::binary_search(comp.vars.begin(), comp.vars.end(), v)) {
           in_comp = false;
           break;
         }
@@ -365,10 +294,10 @@ WarmMinOnesResult IncrementalDeletionCnf::SolveMinOnes(
     if (!reused) {
       // Dense sub-CNF over this component's vars, solved cold.
       std::unordered_map<uint32_t, uint32_t> dense;
-      dense.reserve(comp->vars.size());
-      for (uint32_t i = 0; i < comp->vars.size(); ++i)
-        dense[comp->vars[i]] = i;
-      Cnf cnf(static_cast<uint32_t>(comp->vars.size()));
+      dense.reserve(comp.vars.size());
+      for (uint32_t i = 0; i < comp.vars.size(); ++i)
+        dense[comp.vars[i]] = i;
+      Cnf cnf(static_cast<uint32_t>(comp.vars.size()));
       for (const auto* c : cls) {
         std::vector<Lit> mapped;
         mapped.reserve(c->size());
@@ -388,10 +317,10 @@ WarmMinOnesResult IncrementalDeletionCnf::SolveMinOnes(
       out.optimal &= res.optimal;
       CachedComponent cc;
       cc.num_true = res.num_true;
-      for (uint32_t i = 0; i < comp->vars.size(); ++i) {
+      for (uint32_t i = 0; i < comp.vars.size(); ++i) {
         if (i < res.model.size() && res.model[i]) {
-          cc.true_vars.push_back(comp->vars[i]);
-          global_true[comp->vars[i]] = true;
+          cc.true_vars.push_back(comp.vars[i]);
+          global_true[comp.vars[i]] = true;
         }
       }
       live.num_true = cc.num_true;
@@ -399,7 +328,7 @@ WarmMinOnesResult IncrementalDeletionCnf::SolveMinOnes(
     }
 
     out.num_true += live.num_true;
-    for (uint32_t v : comp->vars) comp_key_of_var_[v] = key;
+    for (uint32_t v : comp.vars) comp_key_of_var_[v] = key;
     live_components_.push_back(std::move(live));
   }
 
@@ -417,7 +346,7 @@ WarmMinOnesResult IncrementalDeletionCnf::SolveMinOnes(
     solved_epoch_ = epoch_;
     assumptions_epoch_ = UINT64_MAX;  // rebuilt lazily
   }
-  out.num_components = ordered.size();
+  out.num_components = comps.size();
   return out;
 }
 

@@ -11,10 +11,12 @@
 // variable instead of leaking a contradictory unit.
 //
 // Min-Ones warm-starts instead of re-solving: the active clause set is
-// split into connected components, each component is content-hashed, and
-// components untouched since the previous optimum reuse their cached
-// per-component minimum (re-verified against the clauses); only dirty
-// components are solved. The previous global optimum also drives phase
+// split into connected components (SplitComponents, sat/cnf_split.h —
+// the split Min-Ones and the cone slicer use), each component is
+// content-hashed (ContentHasher, the same keys the cone slicer gives its
+// components), and components untouched since the previous optimum
+// reuse their cached per-component minimum (re-verified against the
+// clauses); only dirty components are solved. The previous global optimum also drives phase
 // saving on the long-lived solver, which serves the CQA entailment
 // queries (per-component totalizer caps selected by assumptions).
 #ifndef DELTAREPAIR_PROVENANCE_INCREMENTAL_CNF_H_
@@ -23,26 +25,15 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "datalog/ground_cache.h"
 #include "provenance/bool_formula.h"
+#include "sat/cnf_split.h"
 #include "sat/min_ones.h"
 #include "sat/solver.h"
 
 namespace deltarepair {
-
-/// 128-bit content key of one CNF component (two independent 64-bit
-/// hashes; cached results are additionally re-verified, so a collision
-/// cannot corrupt correctness, only verdict caching).
-using ComponentKey = std::pair<uint64_t, uint64_t>;
-
-struct ComponentKeyHash {
-  size_t operator()(const ComponentKey& k) const {
-    return static_cast<size_t>(k.first ^ (k.second * 0x9e3779b97f4a7c15ULL));
-  }
-};
 
 /// Aggregated result of a warm Min-Ones pass.
 struct WarmMinOnesResult {
@@ -146,12 +137,12 @@ class IncrementalDeletionCnf {
     bool active = false;
     bool tautology = false;
     std::vector<Lit> lits;  // deletion literals only (guard excluded)
-    // Content-hash contribution of `lits`, fixed at first encoding so a
-    // warm solve folds component keys without re-hashing every clause.
+    // ClauseContentKey of `lits`, fixed at first encoding so a warm
+    // solve folds component keys without re-hashing every clause.
     // Hashed over *tuple* content (packed ids + polarity), not solver
     // var ids, so keys — and every cache keyed by them — survive the
     // variable renumbering of Scrub and full rebuilds alike.
-    uint64_t h1 = 0, h2 = 0;
+    ComponentKey key{0, 0};
   };
 
   uint32_t VarOf(TupleId t);

@@ -6,139 +6,12 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "obs/trace.h"
+#include "sat/cnf_split.h"
 #include "sat/totalizer.h"
 
 namespace deltarepair {
 
 namespace {
-
-/// Union-find over variables for component decomposition.
-class UnionFind {
- public:
-  explicit UnionFind(uint32_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0u);
-  }
-  uint32_t Find(uint32_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(uint32_t a, uint32_t b) { parent_[Find(a)] = Find(b); }
-
- private:
-  std::vector<uint32_t> parent_;
-};
-
-/// Min-Ones-specific preprocessing, run globally before decomposition:
-/// unit propagation over the clause set plus pure-negative-literal
-/// elimination (a variable with no positive occurrence can be false in
-/// some minimum model — making it true only costs), cascaded to
-/// fixpoint. Mutates `clauses` (dead clauses emptied, falsified literals
-/// stripped) and records decided variables in `fixed` (-1 free, 0 false,
-/// 1 true). Returns false on refutation.
-bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
-                       std::vector<int8_t>* fixed) {
-  const uint32_t n = static_cast<uint32_t>(fixed->size());
-  // Occurrence lists by literal (2v = positive, 2v+1 = negative) in one
-  // flat CSR block, and live positive-occurrence counts.
-  std::vector<uint32_t> occ_start(static_cast<size_t>(n) * 2 + 1, 0);
-  std::vector<uint32_t> pos_count(n, 0);
-  std::vector<char> dead(clauses->size(), 0);
-  size_t total_lits = 0;
-  for (const auto& clause : *clauses) {
-    total_lits += clause.size();
-    for (Lit l : clause) {
-      ++occ_start[LitVar(l) * 2 + (LitSign(l) ? 0 : 1) + 1];
-      if (LitSign(l)) ++pos_count[LitVar(l)];
-    }
-  }
-  for (size_t i = 1; i < occ_start.size(); ++i) occ_start[i] += occ_start[i - 1];
-  std::vector<uint32_t> occ_flat(total_lits);
-  {
-    std::vector<uint32_t> cursor(occ_start.begin(), occ_start.end() - 1);
-    for (size_t c = 0; c < clauses->size(); ++c) {
-      for (Lit l : (*clauses)[c]) {
-        occ_flat[cursor[LitVar(l) * 2 + (LitSign(l) ? 0 : 1)]++] =
-            static_cast<uint32_t>(c);
-      }
-    }
-  }
-  auto occ = [&](size_t lit_index) {
-    return std::pair<const uint32_t*, const uint32_t*>(
-        occ_flat.data() + occ_start[lit_index],
-        occ_flat.data() + occ_start[lit_index + 1]);
-  };
-  std::vector<Lit> units;
-  std::vector<uint32_t> pure_candidates;
-  for (size_t c = 0; c < clauses->size(); ++c) {
-    if ((*clauses)[c].size() == 1) units.push_back((*clauses)[c][0]);
-    if ((*clauses)[c].empty()) return false;
-  }
-  for (uint32_t v = 0; v < n; ++v) {
-    if (pos_count[v] == 0) pure_candidates.push_back(v);
-  }
-
-  // Kills clause `c` (it is satisfied): every other literal loses an
-  // occurrence, possibly creating new pure-negative variables.
-  auto kill_clause = [&](uint32_t c) {
-    if (dead[c]) return;
-    dead[c] = 1;
-    for (Lit l : (*clauses)[c]) {
-      if (LitSign(l) && --pos_count[LitVar(l)] == 0) {
-        pure_candidates.push_back(LitVar(l));
-      }
-    }
-    (*clauses)[c].clear();
-  };
-  // Strips a falsified literal from clause `c`.
-  auto strip_literal = [&](uint32_t c, Lit l) -> bool {
-    if (dead[c]) return true;
-    auto& lits = (*clauses)[c];
-    for (size_t i = 0; i < lits.size(); ++i) {
-      if (lits[i] == l) {
-        lits[i] = lits.back();
-        lits.pop_back();
-        break;
-      }
-    }
-    if (LitSign(l) && --pos_count[LitVar(l)] == 0) {
-      pure_candidates.push_back(LitVar(l));
-    }
-    if (lits.empty()) return false;  // refuted
-    if (lits.size() == 1) units.push_back(lits[0]);
-    return true;
-  };
-
-  while (!units.empty() || !pure_candidates.empty()) {
-    if (!units.empty()) {
-      Lit l = units.back();
-      units.pop_back();
-      uint32_t v = LitVar(l);
-      int8_t want = LitSign(l) ? 1 : 0;
-      if ((*fixed)[v] == want) continue;
-      if ((*fixed)[v] != -1) return false;  // contradicting units
-      (*fixed)[v] = want;
-      auto [sat_begin, sat_end] = occ(v * 2 + (LitSign(l) ? 0 : 1));
-      for (const uint32_t* c = sat_begin; c != sat_end; ++c) {
-        kill_clause(*c);
-      }
-      auto [unsat_begin, unsat_end] = occ(v * 2 + (LitSign(l) ? 1 : 0));
-      for (const uint32_t* c = unsat_begin; c != unsat_end; ++c) {
-        if (!strip_literal(*c, -l)) return false;
-      }
-      continue;
-    }
-    uint32_t v = pure_candidates.back();
-    pure_candidates.pop_back();
-    if ((*fixed)[v] != -1 || pos_count[v] != 0) continue;
-    (*fixed)[v] = 0;  // no positive occurrence left: false costs nothing
-    auto [neg_begin, neg_end] = occ(v * 2 + 1);
-    for (const uint32_t* c = neg_begin; c != neg_end; ++c) kill_clause(*c);
-  }
-  return true;
-}
 
 /// Seeds the solver with a greedy set cover of the all-positive clauses:
 /// those are the clauses an all-false assignment leaves unsatisfied, so
@@ -392,55 +265,35 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
 
   Cnf work = cnf;
   result.normalize = work.Normalize();
-  for (const auto& clause : work.clauses()) {
-    if (clause.empty()) {
-      result.satisfiable = false;
-      result.optimal = true;
-      return result;
-    }
-  }
   const uint32_t n = work.num_vars();
 
   // Objective-aware preprocessing: unit propagation + pure-negative
   // cascade. On the deletion CNFs this typically decides most variables
   // outright and shatters the residual into small components.
-  std::vector<std::vector<Lit>> residual(work.clauses());
-  std::vector<int8_t> fixed(n, -1);
-  if (!PreprocessMinOnes(&residual, &fixed)) {
+  const ReducedCnf reduced = ReduceForMinimumModels(work.clauses(), n);
+  if (reduced.refuted) {
     result.satisfiable = false;
     result.optimal = true;
     return result;
   }
+  const std::vector<int8_t>& fixed = reduced.fixed;
+  const std::vector<std::vector<Lit>>& residual = reduced.clauses;
 
   // Component decomposition of the residual over shared variables (or
   // one component when the ablation knob disables it).
-  UnionFind uf(n);
-  for (const auto& clause : residual) {
-    for (size_t i = 1; i < clause.size(); ++i) {
-      uf.Union(LitVar(clause[0]), LitVar(clause[i]));
+  std::vector<CnfComponents::Component> comps =
+      SplitComponents(residual, n).components;
+  if (!options.decompose_components && comps.size() > 1) {
+    CnfComponents::Component all;
+    for (const CnfComponents::Component& comp : comps) {
+      all.vars.insert(all.vars.end(), comp.vars.begin(), comp.vars.end());
     }
+    std::sort(all.vars.begin(), all.vars.end());
+    all.clauses.resize(residual.size());
+    std::iota(all.clauses.begin(), all.clauses.end(), 0u);
+    comps.assign(1, std::move(all));
   }
-  if (!options.decompose_components && n > 0) {
-    for (uint32_t v = 1; v < n; ++v) uf.Union(0, v);
-  }
-  std::vector<std::vector<const std::vector<Lit>*>> comp_clauses;
-  std::vector<int> root_to_comp(n, -1);
-  for (const auto& clause : residual) {
-    if (clause.empty()) continue;  // satisfied and cleared by preprocessing
-    uint32_t root = uf.Find(LitVar(clause[0]));
-    if (root_to_comp[root] < 0) {
-      root_to_comp[root] = static_cast<int>(comp_clauses.size());
-      comp_clauses.emplace_back();
-    }
-    comp_clauses[root_to_comp[root]].push_back(&clause);
-  }
-  result.num_components = static_cast<uint32_t>(comp_clauses.size());
-  std::vector<std::vector<uint32_t>> comp_vars(comp_clauses.size());
-  for (uint32_t v = 0; v < n; ++v) {
-    if (fixed[v] != -1) continue;
-    int comp = root_to_comp[uf.Find(v)];
-    if (comp >= 0) comp_vars[static_cast<size_t>(comp)].push_back(v);
-  }
+  result.num_components = static_cast<uint32_t>(comps.size());
 
   // Decided variables enter the model directly; free ones default false.
   std::vector<bool> model(n, false);
@@ -455,7 +308,7 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
   // without a solver of their own (the common case).
   std::vector<bool> global_model;
   bool have_global = false;
-  if (!comp_clauses.empty()) {
+  if (!comps.empty()) {
     SolverOptions global_options;
     global_options.learning = options.enable_learning;
     global_options.restarts = options.enable_restarts;
@@ -467,7 +320,7 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
     global.EnsureVars(n);
     bool consistent = true;
     for (const auto& clause : residual) {
-      if (!clause.empty() && !global.AddClause(clause)) consistent = false;
+      if (!global.AddClause(clause)) consistent = false;
     }
     if (consistent) SeedGreedyCover(&global, residual, n);
     SolveStatus status = consistent ? global.Solve() : SolveStatus::kUnsat;
@@ -488,17 +341,19 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
 
   std::vector<char> lb_used(n, 0);
   std::vector<uint32_t> lb_touched;
-  for (size_t ci = 0; ci < comp_clauses.size(); ++ci) {
-    const auto& comp = comp_clauses[ci];
+  std::vector<const std::vector<Lit>*> comp;
+  for (const CnfComponents::Component& component : comps) {
+    comp.clear();
+    for (uint32_t c : component.clauses) comp.push_back(&residual[c]);
     if (have_global) {
       uint32_t count = 0;
-      for (uint32_t v : comp_vars[ci]) count += global_model[v] ? 1 : 0;
+      for (uint32_t v : component.vars) count += global_model[v] ? 1 : 0;
       lb_touched.clear();
       uint32_t lb = DisjointPositiveClauseBound(comp, &lb_used, &lb_touched);
       for (uint32_t v : lb_touched) lb_used[v] = 0;
       if (count <= lb) {
         // The warm incumbent is provably minimum: no solver needed.
-        for (uint32_t v : comp_vars[ci]) model[v] = global_model[v];
+        for (uint32_t v : component.vars) model[v] = global_model[v];
         continue;
       }
     }

@@ -7,10 +7,13 @@
 // engine (solver.h):
 //  1. normalize (dedupe + unit subsumption), then preprocess with the
 //     objective in mind: unit propagation plus pure-negative-literal
-//     elimination decide most deletion variables outright,
+//     elimination decide most deletion variables outright
+//     (ReduceForMinimumModels, sat/cnf_split.h — the reduction the cone
+//     slicer reads too),
 //  2. decompose the residual into connected components (violation
 //     clusters solve independently — the dominant win on
-//     denial-constraint instances),
+//     denial-constraint instances; SplitComponents, the one split shared
+//     with the slicer, the cold entailment caps and the warm cache),
 //  3. one greedy-cover-seeded global solve hands every component a warm
 //     incumbent; components whose incumbent matches the disjoint
 //     all-positive-clause lower bound are proven optimal on the spot,

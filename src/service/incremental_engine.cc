@@ -340,23 +340,16 @@ RepairOutcome IncrementalEngine::IndependentRepairLocked(
 
 std::pair<uint64_t, uint64_t> IncrementalEngine::AnswerSignatureLocked(
     const AnswerProvenance& prov) const {
-  // Two independent mixers; a reused verdict requires both to match, so
-  // a single 64-bit collision cannot produce a stale verdict.
-  uint64_t a = 0x243f6a8885a308d3ULL;
-  uint64_t b = 0x13198a2e03707344ULL;
-  auto feed = [&a, &b](uint64_t v) {
-    a = (a ^ v) * 0x00000100000001b3ULL;
-    a ^= a >> 32;
-    b = (b + v) * 0x9e3779b97f4a7c15ULL;
-    b ^= b >> 29;
-  };
+  // Two lanes; a reused verdict requires both to match, so a single
+  // 64-bit collision cannot produce a stale verdict.
+  ContentHasher h;
   const bool cone_grained = warm_slice_.epoch == cnf_.epoch() &&
                             warm_slice_.slicer != nullptr &&
                             warm_slice_.slicer->valid();
   for (const std::vector<TupleId>& m : prov.monomials) {
-    feed(m.size());
+    h.Feed(m.size());
     for (const TupleId& t : m) {
-      feed(t.Pack() + 1);
+      h.Feed(t.Pack() + 1);
       if (cone_grained) {
         // Cone-grained: the tuple's forced state under the minimum-
         // repair propagation fixpoint pins its contribution outright;
@@ -366,24 +359,23 @@ std::pair<uint64_t, uint64_t> IncrementalEngine::AnswerSignatureLocked(
         // answer's cached verdict.
         const int64_t dv = warm_slice_.dense.FindVar(t);
         if (dv < 0) {
-          feed(0);  // no deletion variable: never deletable
+          h.Feed(0);  // no deletion variable: never deletable
           continue;
         }
         const ConeSlicer& slicer = *warm_slice_.slicer;
         switch (slicer.state(static_cast<uint32_t>(dv))) {
           case ConeSlicer::VarState::kForcedKept:
-            feed(1);
+            h.Feed(1);
             break;
           case ConeSlicer::VarState::kForcedDeleted:
-            feed(2);
+            h.Feed(2);
             break;
           case ConeSlicer::VarState::kOpen: {
-            feed(3);
-            const std::pair<uint64_t, uint64_t> key =
-                slicer.component_content(
-                    slicer.component_of(static_cast<uint32_t>(dv)));
-            feed(key.first);
-            feed(key.second);
+            h.Feed(3);
+            const ComponentKey key = slicer.component_content(
+                slicer.component_of(static_cast<uint32_t>(dv)));
+            h.Feed(key.first);
+            h.Feed(key.second);
             break;
           }
         }
@@ -397,15 +389,15 @@ std::pair<uint64_t, uint64_t> IncrementalEngine::AnswerSignatureLocked(
         // never-deletable and keys as (0,0) either way.
         const ComponentKey key =
             cnf_.ComponentKeyOf(static_cast<uint32_t>(var));
-        feed(key.first);
-        feed(key.second);
+        h.Feed(key.first);
+        h.Feed(key.second);
       } else {
-        feed(0);
-        feed(0);
+        h.Feed(0);
+        h.Feed(0);
       }
     }
   }
-  return {a, b};
+  return h.key();
 }
 
 CqaResult IncrementalEngine::ExecuteCqa(const CqaRequest& request) {

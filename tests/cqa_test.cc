@@ -514,16 +514,35 @@ TEST(CqaContractTest, ExhaustedBudgetStaysConservative) {
 TEST(CqaContractTest, CancellationUnwinds) {
   CqaFixture f;
   ASSERT_TRUE(f.engine.ok());
+  // A triangle of conflicts: its minimum (2) sits above the disjoint-
+  // clause lower bound (1), so a cancelled Min-Ones returns an unproven
+  // model, and the cancel — not a truncation — must be what is reported.
+  Database triangle;
+  uint32_t r = triangle.AddRelation(MakeIntSchema("R", {"x"}));
+  uint32_t c = triangle.AddRelation(MakeIntSchema("C", {"x", "y"}));
+  for (int64_t x = 1; x <= 3; ++x) triangle.Insert(r, {Value(x)});
+  triangle.Insert(c, {Value(int64_t{1}), Value(int64_t{2})});
+  triangle.Insert(c, {Value(int64_t{2}), Value(int64_t{3})});
+  triangle.Insert(c, {Value(int64_t{1}), Value(int64_t{3})});
+  StatusOr<RepairEngine> triangle_engine = RepairEngine::Create(
+      &triangle, MustParseProgram("~R(x) :- R(x), R(y), C(x, y).\n"));
+  ASSERT_TRUE(triangle_engine.ok());
+  const std::vector<std::pair<RepairEngine*, std::string>> inputs = {
+      {&f.engine.value(), "Q(n) :- Author(a, n)."},
+      {&triangle_engine.value(), "Q(x) :- R(x)."}};
   CancelToken cancel;
   cancel.Cancel();
-  for (const std::string& name : AllSemanticsNames()) {
-    CqaRequest request(name, "Q(n) :- Author(a, n).");
-    request.options.cancel = &cancel;
-    CqaResult result = AnswerQuery(&f.engine.value(), request);
-    ASSERT_TRUE(result.ok()) << name;
-    EXPECT_EQ(result.termination, TerminationReason::kCancelled) << name;
-    for (const CqaAnswer& a : result.answers) {
-      EXPECT_FALSE(a.decided) << name;
+  for (const auto& [engine, query] : inputs) {
+    for (const std::string& name : AllSemanticsNames()) {
+      CqaRequest request(name, query);
+      request.options.cancel = &cancel;
+      CqaResult result = AnswerQuery(engine, request);
+      ASSERT_TRUE(result.ok()) << name << " " << query;
+      EXPECT_EQ(result.termination, TerminationReason::kCancelled)
+          << name << " " << query;
+      for (const CqaAnswer& a : result.answers) {
+        EXPECT_FALSE(a.decided) << name << " " << query;
+      }
     }
   }
 }

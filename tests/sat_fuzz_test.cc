@@ -7,6 +7,9 @@
 // with the assumptions added as unit clauses, on one long-lived solver
 // per formula.
 //
+// A third suite certifies the shared deletion-CNF reduction and
+// component split (sat/cnf_split.h) against enumeration.
+//
 // DR_FUZZ_ITERS multiplies every instance count (the nightly CI job
 // runs at 10x); unset or 1 is the tier-1 default.
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include <cstdlib>
 
 #include "common/random.h"
+#include "sat/cnf_split.h"
 #include "sat/min_ones.h"
 #include "sat/solver.h"
 
@@ -114,6 +118,153 @@ TEST(SatFuzzTest, CdclAndMinOnesMatchBruteForceOn1kInstances) {
   // The generator must exercise both outcomes, not degenerate cases.
   EXPECT_GT(sat_count, kInstances / 4);
   EXPECT_LT(sat_count, kInstances - kInstances / 20);
+}
+
+/// Checks SplitComponents on `clauses`: both overloads agree; the
+/// components partition exactly the variables that occur, each is
+/// connected, no clause spans two, and they are ordered by smallest
+/// variable.
+void CheckSplit(const std::vector<std::vector<Lit>>& clauses, uint32_t n) {
+  const CnfComponents split = SplitComponents(clauses, n);
+  std::vector<const std::vector<Lit>*> refs;
+  for (const auto& clause : clauses) refs.push_back(&clause);
+  const CnfComponents by_ref = SplitComponents(refs, n);
+  ASSERT_EQ(split.comp_of, by_ref.comp_of);
+  ASSERT_EQ(split.components.size(), by_ref.components.size());
+  ASSERT_EQ(split.comp_of.size(), n);
+
+  std::vector<char> occurs(n, 0);
+  for (const auto& clause : clauses) {
+    for (Lit l : clause) occurs[LitVar(l)] = 1;
+  }
+  std::vector<int> var_seen(n, 0);
+  std::vector<int> clause_seen(clauses.size(), 0);
+  for (uint32_t c = 0; c < split.components.size(); ++c) {
+    const CnfComponents::Component& comp = split.components[c];
+    ASSERT_EQ(comp.vars, by_ref.components[c].vars);
+    ASSERT_EQ(comp.clauses, by_ref.components[c].clauses);
+    ASSERT_FALSE(comp.vars.empty());
+    ASSERT_FALSE(comp.clauses.empty());
+    if (c > 0) {
+      ASSERT_LT(split.components[c - 1].vars.front(), comp.vars.front());
+    }
+    for (size_t i = 0; i < comp.vars.size(); ++i) {
+      if (i > 0) {
+        ASSERT_LT(comp.vars[i - 1], comp.vars[i]);
+      }
+      ASSERT_EQ(split.comp_of[comp.vars[i]], c);
+      ++var_seen[comp.vars[i]];
+    }
+    for (size_t i = 0; i < comp.clauses.size(); ++i) {
+      if (i > 0) {
+        ASSERT_LT(comp.clauses[i - 1], comp.clauses[i]);
+      }
+      ++clause_seen[comp.clauses[i]];
+      for (Lit l : clauses[comp.clauses[i]]) {
+        ASSERT_EQ(split.comp_of[LitVar(l)], c);
+      }
+    }
+    // Connected: the component's clauses reach every one of its vars
+    // from its smallest.
+    std::vector<char> reached(n, 0);
+    reached[comp.vars.front()] = 1;
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (uint32_t ci : comp.clauses) {
+        bool touches = false;
+        for (Lit l : clauses[ci]) touches |= reached[LitVar(l)] != 0;
+        if (!touches) continue;
+        for (Lit l : clauses[ci]) {
+          if (!reached[LitVar(l)]) reached[LitVar(l)] = grew = true;
+        }
+      }
+    }
+    for (uint32_t v : comp.vars) ASSERT_TRUE(reached[v]) << "var " << v;
+  }
+  for (uint32_t v = 0; v < n; ++v) {
+    ASSERT_EQ(var_seen[v], occurs[v] ? 1 : 0) << "var " << v;
+    if (!occurs[v]) {
+      ASSERT_EQ(split.comp_of[v], CnfComponents::kNone);
+    }
+  }
+  for (size_t ci = 0; ci < clauses.size(); ++ci) {
+    ASSERT_EQ(clause_seen[ci], clauses[ci].empty() ? 0 : 1) << "clause " << ci;
+  }
+}
+
+TEST(SatFuzzTest, ReductionAndSplitMatchBruteForce) {
+  // A refutation proves unsatisfiability, but not every unsatisfiable
+  // CNF is refuted: a unit-free core (all four 2-clauses over two
+  // variables) survives both rules. So an unrefuted CNF is checked to
+  // keep its satisfiability and its Min-Ones optimum in the residual.
+  const int kInstances = ScaledIters(2000);
+  int refuted = 0;
+  int residual_nonempty = 0;
+  for (int i = 0; i < kInstances; ++i) {
+    Rng rng(0x5b117000 + static_cast<uint64_t>(i));
+    const Cnf cnf = RandomCnf(&rng, 8);
+    const uint32_t n = cnf.num_vars();
+    SCOPED_TRACE(testing::Message() << "instance " << i << "\n"
+                                    << cnf.ToString());
+    ASSERT_NO_FATAL_FAILURE(CheckSplit(cnf.clauses(), n));
+    const ReducedCnf reduced = ReduceForMinimumModels(cnf.clauses(), n);
+    const BruteForce expected = Enumerate(cnf);
+    if (reduced.refuted) {
+      ASSERT_FALSE(expected.satisfiable);
+      ++refuted;
+      continue;
+    }
+    ASSERT_EQ(reduced.fixed.size(), n);
+
+    // Fixed values: 1 holds in every model, 0 in every minimum model.
+    std::vector<bool> model(n);
+    for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+      int ones = 0;
+      for (uint32_t v = 0; v < n; ++v) {
+        model[v] = (mask >> v) & 1;
+        ones += model[v] ? 1 : 0;
+      }
+      if (!cnf.IsSatisfiedBy(model)) continue;
+      for (uint32_t v = 0; v < n; ++v) {
+        if (reduced.fixed[v] == 1) {
+          ASSERT_TRUE(model[v]) << "var " << v;
+        }
+        if (reduced.fixed[v] == 0 && ones == expected.min_ones) {
+          ASSERT_FALSE(model[v]) << "var " << v;
+        }
+      }
+    }
+
+    // The residual holds only open literals, at least two per clause,
+    // and keeps the satisfiability and the optimum.
+    Cnf residual(n);
+    int fixed_true = 0;
+    for (uint32_t v = 0; v < n; ++v) fixed_true += reduced.fixed[v] == 1;
+    for (const std::vector<Lit>& clause : reduced.clauses) {
+      ASSERT_GE(clause.size(), 2u);
+      for (Lit l : clause) ASSERT_LT(reduced.fixed[LitVar(l)], 0);
+      residual.AddClause(clause);
+    }
+    residual_nonempty += reduced.clauses.empty() ? 0 : 1;
+    const BruteForce rest = Enumerate(residual);
+    ASSERT_EQ(rest.satisfiable, expected.satisfiable);
+    if (expected.satisfiable) {
+      ASSERT_EQ(fixed_true + rest.min_ones, expected.min_ones);
+    }
+
+    // The components of the residual partition the open variables.
+    ASSERT_NO_FATAL_FAILURE(CheckSplit(reduced.clauses, n));
+    std::vector<char> occurs(n, 0);
+    for (const auto& clause : reduced.clauses) {
+      for (Lit l : clause) occurs[LitVar(l)] = 1;
+    }
+    for (uint32_t v = 0; v < n; ++v) {
+      ASSERT_EQ(occurs[v] != 0, reduced.fixed[v] < 0) << "var " << v;
+    }
+  }
+  // Both outcomes, and non-trivial residuals, must be exercised.
+  EXPECT_GT(refuted, kInstances / 20);
+  EXPECT_GT(residual_nonempty, kInstances / 20);
 }
 
 TEST(SatFuzzTest, IncrementalAssumptionsMatchBruteForce) {
